@@ -84,32 +84,34 @@ fn timing(name: &'static str, tagged: &[u64], q: f64, scale: f64, unit: &'static
     }
 }
 
-/// The median over one-second windows of each window's `q`-quantile.
+/// The median over the windows of each window's `q`-quantile.
 fn windowed(p: &Pass, name: &'static str, tagged: &[u64], q: f64) -> Metric {
     Metric {
         name,
-        value: trace::windowed_quantile(tagged, p.windows, q) / 1e3,
+        value: trace::windowed_quantile(tagged, p.windows.len(), q) / 1e3,
         unit: "us",
         samples: Some(tagged.len()),
     }
 }
 
-/// Operations completed in each whole one-second window.
+/// Operations completed per second in each whole window.
 fn timeline(p: &Pass) -> Vec<f64> {
-    trace::windows(&p.all, p.windows)
+    trace::windows(&p.all, p.windows.len())
         .iter()
-        .map(|w| w.len() as f64)
+        .zip(&p.windows)
+        .map(|(w, secs)| w.len() as f64 / secs)
         .collect()
 }
 
-/// The median over one-second windows of the operations completed.
+/// The median over the windows of the operations completed per second.
 fn ops_per_s(p: &Pass) -> f64 {
     trace::median(&mut timeline(p))
 }
 
 /// The metrics a user of the store sees; defined and non-zero on every
-/// workload. Throughput and latencies are medians over the one-second
-/// windows of the measured phase.
+/// workload. Throughput and latencies are medians over the windows of the
+/// measured phase: one second each, or one store each on the workloads
+/// that write.
 fn end_to_end(p: &Pass) -> Vec<Metric> {
     let live = p.contents.unique_bytes.max(1) as f64;
     let mut setup = p.setup_s.clone();
@@ -319,8 +321,8 @@ fn per_layer(u: &Pass, t: &Pass) -> Vec<Metric> {
         ),
         m(
             "trace.overhead_op_p50_us",
-            (trace::windowed_quantile(&t.all, t.windows, 0.5)
-                - trace::windowed_quantile(&u.all, u.windows, 0.5))
+            (trace::windowed_quantile(&t.all, t.windows.len(), 0.5)
+                - trace::windowed_quantile(&u.all, u.windows.len(), 0.5))
                 / 1e3,
             "us",
         ),
@@ -347,8 +349,9 @@ fn print_pass(label: &str, p: &Pass) {
         p.fsync_us, p.bytes_written
     );
     println!(
-        "  measured {:.3} s, {} ops, {} failed, {} wrong answers{}{}",
+        "  measured {:.3} s on {} store(s), {} ops, {} failed, {} wrong answers{}{}",
         p.measured_s,
+        p.stores,
         p.ops,
         p.failed,
         p.problems.count,
@@ -359,17 +362,18 @@ fn print_pass(label: &str, p: &Pass) {
             ""
         }
     );
-    println!("  ops completed per second: {:?}", timeline(p));
+    println!("  ops per second in each window: {:?}", timeline(p));
     for problem in &p.problems.messages {
         println!("  CHECK FAILED: {problem}");
     }
     println!(
-        "  after set-up: {} live bytes, {} bytes in the store directory (median), reopen {:.3} s",
+        "  after set-up: {} live bytes in the first store; medians over the set-ups: {} bytes \
+         in the store directory, reopen {:.3} s",
         p.setup_live_bytes, p.setup_disk_bytes, p.reopen_s
     );
     println!(
-        "  after the run: paper s_amp {:.4}, {} live bytes, {} bytes in the store directory, \
-         reopen {:.3} s",
+        "  first store after its run: paper s_amp {:.4}, {} live bytes, {} bytes in the store \
+         directory, reopen {:.3} s",
         p.contents.space_amplification(),
         p.contents.unique_bytes,
         p.disk_bytes,

@@ -1,6 +1,7 @@
-//! One pass of a workload: set-up (several times, for a steady set-up
-//! time), the closed-loop measured phase, quiesce, drop, reopen and
-//! verification, with the counters snapshotted at the phase boundaries.
+//! One pass of a workload: the closed-loop measured phase on one store, or
+//! on several freshly set-up stores in turn for the workloads that write,
+//! each store set up, reopened, measured, quiesced and verified, with the
+//! counters snapshotted at the phase boundaries.
 
 use crate::probe::{self, TreeProbe};
 use crate::trace::{self, Recorder, Span, SpanStats};
@@ -16,10 +17,22 @@ use std::fs;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Set-ups per pass; the pass reports their median and measures the last.
+/// Set-ups per pass at least; the pass reports their median.
 const SETUPS: usize = 3;
-/// Reopens of the set-up store; the pass reports their median.
+/// Reopens after set-up of a pass's only store; a pass on several stores,
+/// and each set-up made only for the set-up median, reopens each once. The
+/// pass reports their median.
 const REOPENS: usize = 3;
+/// Operations of all clients together that one store takes in the
+/// workloads that write. The engine does not reclaim the space of dropped
+/// pages while a store is open, so each shard's data file only grows (by
+/// about 0.8 KB per `ycsb_a_deletes` operation): on one store a fixed-time
+/// phase would grow the files with throughput, without bound. So the
+/// measured phase moves on to a freshly set-up store after this many
+/// operations, every store does the same work, and the file sizes stay
+/// the same whatever the engine's speed. Each store is one window: the
+/// pass reports medians over stores.
+const STORE_OPS: u64 = 240_000;
 const PRELOAD_BATCH: usize = 1000;
 /// The traced pass samples the oldest tombstone-bearing file every this
 /// many operations of client 0.
@@ -33,39 +46,49 @@ const SETUP_OP: u64 = 0xFF << 48;
 #[derive(Debug, Default)]
 pub struct Pass {
     pub setup_s: Vec<f64>,
+    /// Stores the measured phase ran on, one after the other.
+    pub stores: usize,
     /// Files per level of every shard right after the measured set-up.
     pub shape: Vec<Vec<usize>>,
     pub measured_s: f64,
     pub ops: u64,
     pub failed: u64,
     pub problems: Problems,
-    /// Per-class latencies, indexed by [`Class`], tagged with their
-    /// one-second window (see [`trace::tag`]) and sorted.
+    /// Per-class latencies, indexed by [`Class`], tagged with their window
+    /// (see [`trace::tag`]) and sorted.
     pub lat: [Vec<u64>; 4],
     /// Tagged, sorted latencies of every operation.
     pub all: Vec<u64>,
-    /// Whole one-second windows in the measured phase.
-    pub windows: usize,
+    /// Seconds of each whole window of the measured phase. A window is one
+    /// second on `read_skew` and one store's full share of work on the
+    /// workloads that write; a window the deadline cut short is left out.
+    pub windows: Vec<f64>,
     /// Write records acknowledged (batch items count one each).
     pub records: u64,
     pub wrapped: bool,
     pub exhausted: bool,
-    /// Peak resident set during the measured phase.
+    /// Peak resident set during a store's share of the measured phase,
+    /// median over the stores.
     pub peak_rss_mb: f64,
-    /// Counter deltas over the measured phase, and gauges at its end.
+    /// Counter deltas over the measured phase (summed over the stores),
+    /// and gauges at the end of the first store's share of it.
     pub io: IoSnapshot,
     pub stats: TreeStats,
     pub cache: CacheSnapshot,
     pub backpressure: BackpressureStats,
     pub contents: ContentSnapshot,
+    /// Write amplification over a store's life up to the end of its share
+    /// of the measured phase and the quiesce after it, median over the
+    /// stores.
     pub write_amp: f64,
     pub quiesce_s: f64,
-    /// Live bytes, store-directory bytes and reopen time of the store as
-    /// set-up left it.
+    /// Live bytes of the first store as set-up left it; store-directory
+    /// bytes and reopen time of the stores as set-up left them (medians).
     pub setup_live_bytes: u64,
     pub setup_disk_bytes: u64,
     pub reopen_s: f64,
-    /// Store-directory bytes and reopen time after the measured phase.
+    /// Store-directory bytes and reopen time of the first store after its
+    /// share of the measured phase.
     pub disk_bytes: u64,
     pub reopen_after_run_s: f64,
     pub data_bytes: u64,
@@ -131,7 +154,8 @@ pub fn run_pass(
     let written_before = probe::process_write_bytes();
 
     let plans: Vec<Plan> = (0..CLIENTS).map(|t| wl.plan(seed, t)).collect();
-    let mut oracles: Vec<Oracle> = plans
+    // every store starts from the preload, so its clients start from these
+    let preloaded: Vec<Oracle> = plans
         .iter()
         .map(|p| {
             let purges = wl.kind == Kind::DurablePurge || (traced && wl.kind == Kind::YcsbADeletes);
@@ -152,183 +176,274 @@ pub fn run_pass(
         }
         all
     });
+    let cap = match wl.kind {
+        Kind::ReadSkew => u64::MAX,
+        _ => STORE_OPS / CLIENTS as u64,
+    };
 
-    // space and reopen time are taken on the store as set-up left it: a
+    // space and reopen time are taken on the stores as set-up left them: a
     // fixed amount of work, so an engine that gets through more of the
     // timed phase does not read as using more disk or reopening slower.
     // Background compaction leaves each set-up a slightly different layout,
-    // so both are medians, over the set-ups and over repeated reopens.
-    let mut kept = None;
-    let mut disk = Vec::with_capacity(SETUPS);
-    for i in 0..SETUPS {
-        let dir = root.join(format!("store-{i}"));
+    // so both are medians, over the set-ups and over the reopens.
+    let budget = Duration::from_secs(seconds);
+    let mut measured = Duration::ZERO;
+    let mut disk = Vec::new();
+    let mut reopens = Vec::new();
+    let mut spans = SpanStats::default();
+    let mut all = Vec::new();
+    // (seconds, peak resident set, write amplification) of every store,
+    // and whether it got through its share of work
+    let mut per_store: Vec<(bool, [f64; 3])> = Vec::new();
+    while measured < budget {
+        let first = pass.stores == 0;
+        let dir = root.join(format!("store-{}", pass.stores));
+        pass.stores += 1;
         let (db, secs) = setup(wl, &dir, &plans, &mut rec).map_err(|e| format!("setup: {e}"))?;
         pass.setup_s.push(secs);
         disk.push(probe::dir_bytes(&dir, |_| true) as f64);
-        if i + 1 < SETUPS {
-            drop(db);
-            fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
-        } else {
-            kept = Some((db, dir));
+        if first {
+            pass.shape = (0..db.shard_count())
+                .map(|s| db.with_shard(s, |e| e.tree().files_per_level()))
+                .collect();
+            pass.setup_live_bytes = db
+                .snapshot_contents()
+                .map_err(|e| format!("snapshot_contents: {e}"))?
+                .unique_bytes;
         }
-    }
-    let (db, dir) = kept.expect("at least one set-up");
-    pass.shape = (0..db.shard_count())
-        .map(|s| db.with_shard(s, |e| e.tree().files_per_level()))
-        .collect();
-    pass.setup_live_bytes = db
-        .snapshot_contents()
-        .map_err(|e| format!("snapshot_contents: {e}"))?
-        .unique_bytes;
-    pass.setup_disk_bytes = trace::median(&mut disk) as u64;
-    // counters restart at every open: keep set-up's for the lifetime totals
-    let mut lifetime = db.stats();
-    let mut db = Some(db);
-    let mut reopens = Vec::with_capacity(REOPENS);
-    for _ in 0..REOPENS {
-        drop(db.take());
-        let span = rec.open("shard.reopen", 0, SETUP_OP);
-        let t0 = Instant::now();
-        db = Some(
-            wl.builder()
-                .open(&dir)
-                .map_err(|e| format!("reopen after set-up: {e}"))?,
-        );
-        reopens.push(t0.elapsed().as_secs_f64());
-        rec.close(span);
-    }
-    let db = db.expect("the store was reopened");
-    pass.reopen_s = trace::median(&mut reopens);
+        // counters restart at every open: keep set-up's for the lifetime totals
+        let mut lifetime = db.stats();
+        let mut db = Some(db);
+        for _ in 0..if cap == u64::MAX { REOPENS } else { 1 } {
+            drop(db.take());
+            let span = rec.open("shard.reopen", 0, SETUP_OP);
+            let t0 = Instant::now();
+            db = Some(
+                wl.builder()
+                    .open(&dir)
+                    .map_err(|e| format!("reopen after set-up: {e}"))?,
+            );
+            reopens.push(t0.elapsed().as_secs_f64());
+            rec.close(span);
+        }
+        let db = db.expect("the store was reopened");
+        let mut peak_rss_mb = 0.0f64;
 
-    let (stats0, io0, cache0, bp0) = counters(&db);
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(seconds);
-    let outs: Vec<ClientOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = oracles
-            .iter_mut()
-            .zip(&plans)
-            .enumerate()
-            .map(|(t, (oracle, plan))| {
-                let (db, shared) = (&db, shared.as_ref());
-                s.spawn(move || {
-                    let rec = Recorder::new(epoch, traced);
-                    client(
-                        db, wl, plan, oracle, shared, t, start, deadline, rec, traced,
-                    )
+        let mut oracles = preloaded.clone();
+        let (stats0, io0, cache0, bp0) = counters(&db);
+        let start = Instant::now();
+        let deadline = start + (budget - measured);
+        let offset = measured;
+        let window = (cap != u64::MAX).then_some(pass.stores as u64 - 1);
+        let outs: Vec<ClientOut> = std::thread::scope(|s| {
+            let handles: Vec<_> = oracles
+                .iter_mut()
+                .zip(&plans)
+                .enumerate()
+                .map(|(t, (oracle, plan))| {
+                    let (db, shared) = (&db, shared.as_ref());
+                    let ctx = ClientCtx {
+                        start,
+                        window,
+                        deadline,
+                        cap,
+                        traced,
+                    };
+                    s.spawn(move || {
+                        let rec = Recorder::new(epoch, traced);
+                        client(db, wl, plan, oracle, shared, t, ctx, rec)
+                    })
                 })
-            })
-            .collect();
-        // the peak resident set of the measured phase, sampled while the
-        // clients run
-        while !handles.iter().all(|h| h.is_finished()) {
-            pass.peak_rss_mb = pass.peak_rss_mb.max(probe::rss_mb());
-            std::thread::sleep(RSS_SAMPLE_EVERY);
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let (stats1, io1, cache1, bp1) = counters(&db);
-    // the WAL is truncated once its records are flushed, so size it now
-    pass.wal_bytes = probe::dir_bytes(&dir, |n| n.ends_with(".wal"));
+                .collect();
+            // the peak resident set of the measured phase, sampled while
+            // the clients run
+            while !handles.iter().all(|h| h.is_finished()) {
+                peak_rss_mb = peak_rss_mb.max(probe::rss_mb());
+                std::thread::sleep(RSS_SAMPLE_EVERY);
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread panicked"))
+                .collect()
+        });
+        let (stats1, io1, cache1, bp1) = counters(&db);
 
-    let mut spans = SpanStats::default();
-    let mut all = Vec::new();
-    for out in outs {
-        pass.measured_s = pass
-            .measured_s
-            .max(out.end.duration_since(start).as_secs_f64());
-        pass.ops += out.ops;
-        pass.failed += out.failed;
-        pass.records += out.records;
-        pass.wrapped |= out.wrapped;
-        pass.exhausted |= out.exhausted;
-        pass.dth_age_ratio = pass.dth_age_ratio.max(out.dth_age_ratio);
-        pass.problems.absorb(out.problems);
-        for (dst, src) in pass.lat.iter_mut().zip(out.lat) {
-            all.extend_from_slice(&src);
-            dst.extend(src);
+        let full = outs.iter().all(|o| o.ops >= cap);
+        let took = outs.iter().map(|o| o.end.duration_since(start)).max();
+        for out in outs {
+            measured = measured.max(offset + out.end.duration_since(start));
+            pass.ops += out.ops;
+            pass.failed += out.failed;
+            pass.records += out.records;
+            pass.wrapped |= out.wrapped;
+            pass.exhausted |= out.exhausted;
+            pass.dth_age_ratio = pass.dth_age_ratio.max(out.dth_age_ratio);
+            pass.problems.absorb(out.problems);
+            for (dst, src) in pass.lat.iter_mut().zip(out.lat) {
+                all.extend_from_slice(&src);
+                dst.extend(src);
+            }
+            spans.add(&out.spans);
         }
-        spans.add(&out.spans);
+        pass.io = pass.io + io1.since(&io0);
+        pass.stats.absorb(&stats_delta(&stats1, &stats0));
+        pass.cache = CacheSnapshot {
+            hits: pass.cache.hits + cache1.hits - cache0.hits,
+            misses: pass.cache.misses + cache1.misses - cache0.misses,
+            insertions: pass.cache.insertions + cache1.insertions - cache0.insertions,
+            evictions: pass.cache.evictions + cache1.evictions - cache0.evictions,
+            invalidations: pass.cache.invalidations + cache1.invalidations - cache0.invalidations,
+            ..if first { cache1 } else { pass.cache }
+        };
+        pass.backpressure = BackpressureStats {
+            stalls: pass.backpressure.stalls + bp1.stalls - bp0.stalls,
+            slowdowns: pass.backpressure.slowdowns + bp1.slowdowns - bp0.slowdowns,
+        };
+
+        // read_skew's clients check against the shared oracle
+        let mut view = match &shared {
+            Some(all) => vec![all.clone()],
+            None => oracles,
+        };
+        if first {
+            first_store_probes(wl, &db, &dir, &mut view, traced, &mut rec, &mut pass)?;
+        }
+        let span = rec.open("compactor.quiesce", 0, SETUP_OP);
+        let t0 = Instant::now();
+        db.persist()
+            .and_then(|()| db.maintain())
+            .map_err(|e| format!("quiesce: {e}"))?;
+        let quiesce_s = t0.elapsed().as_secs_f64();
+        rec.close(span);
+        lifetime.absorb(&db.stats());
+        per_store.push((
+            full,
+            [
+                took.unwrap_or_default().as_secs_f64(),
+                peak_rss_mb,
+                lifetime.write_amp(),
+            ],
+        ));
+        if first {
+            // space figures and the check after reopen come from the first
+            // store; later stores are checked while open
+            pass.quiesce_s = quiesce_s;
+            first_store_reopen(wl, db, &dir, &view, traced, &mut rec, &mut pass)?;
+        } else {
+            verify(&db, &view, &mut pass);
+            drop(db);
+        }
+        fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
     }
+    // a short phase may need fewer stores than the set-up median wants
+    while pass.setup_s.len() < SETUPS {
+        let dir = root.join("store-extra");
+        let (db, secs) = setup(wl, &dir, &plans, &mut rec).map_err(|e| format!("setup: {e}"))?;
+        pass.setup_s.push(secs);
+        disk.push(probe::dir_bytes(&dir, |_| true) as f64);
+        drop(db);
+        let t0 = Instant::now();
+        let db = wl
+            .builder()
+            .open(&dir)
+            .map_err(|e| format!("reopen after set-up: {e}"))?;
+        reopens.push(t0.elapsed().as_secs_f64());
+        drop(db);
+        fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
+    }
+    pass.setup_disk_bytes = trace::median(&mut disk) as u64;
+    pass.reopen_s = trace::median(&mut reopens);
+    pass.measured_s = measured.as_secs_f64();
+    // the store-by-store figures are medians over the stores that got
+    // through their share of work; a store the deadline cut short counts
+    // only when it is the only one
+    if per_store.iter().any(|s| s.0) {
+        per_store.retain(|s| s.0);
+    }
+    let column = |i: usize| -> Vec<f64> { per_store.iter().map(|s| s.1[i]).collect() };
+    pass.peak_rss_mb = trace::median(&mut column(1));
+    pass.write_amp = trace::median(&mut column(2));
     for v in &mut pass.lat {
         v.sort_unstable();
     }
     all.sort_unstable();
     pass.all = all;
-    pass.windows = seconds as usize;
-    pass.io = io1.since(&io0);
-    pass.stats = stats_delta(&stats1, &stats0);
-    pass.cache = CacheSnapshot {
-        hits: cache1.hits - cache0.hits,
-        misses: cache1.misses - cache0.misses,
-        insertions: cache1.insertions - cache0.insertions,
-        evictions: cache1.evictions - cache0.evictions,
-        invalidations: cache1.invalidations - cache0.invalidations,
-        ..cache1
-    };
-    pass.backpressure = BackpressureStats {
-        stalls: bp1.stalls - bp0.stalls,
-        slowdowns: bp1.slowdowns - bp0.slowdowns,
+    pass.windows = if cap == u64::MAX {
+        vec![1.0; seconds as usize]
+    } else {
+        column(0)
     };
 
+    if traced {
+        (pass.wal_append_us, pass.wal_commit_us) =
+            probe::wal_probe(root, &mut rec).map_err(|e| format!("wal probe: {e}"))?;
+    }
+    pass.bytes_written = probe::process_write_bytes().saturating_sub(written_before);
+    spans.add(&rec.spans);
+    spans.finish();
+    pass.spans = spans;
+    Ok(pass)
+}
+
+/// The first store's gauges and layer probes at the end of its share of
+/// the measured phase, before it is quiesced.
+fn first_store_probes(
+    wl: &Workload,
+    db: &ShardedLethe,
+    dir: &Path,
+    oracles: &mut [Oracle],
+    traced: bool,
+    rec: &mut Recorder,
+    pass: &mut Pass,
+) -> Result<(), String> {
+    // the WAL is truncated once its records are flushed, so size it now
+    pass.wal_bytes = probe::dir_bytes(dir, |n| n.ends_with(".wal"));
     pass.contents = db
         .snapshot_contents()
         .map_err(|e| format!("snapshot_contents: {e}"))?;
-
     if traced {
-        let view = shared.as_ref();
-        let keys = probe_keys(view.map_or(&oracles[..], std::slice::from_ref));
-        pass.tree = probe::tree_probe(&db, &keys, &mut rec);
+        pass.tree = probe::tree_probe(db, &probe_keys(oracles), rec);
         if wl.kind == Kind::YcsbADeletes {
-            pass.purge_probe_ms = purge_probe(&db, wl, &mut oracles, &mut pass.stats, &mut rec)?;
+            pass.purge_probe_ms = purge_probe(db, wl, oracles, &mut pass.stats, rec)?;
         }
-        pass.dth_age_ratio = pass.dth_age_ratio.max(dth_age_ratio(&db, wl));
+        pass.dth_age_ratio = pass.dth_age_ratio.max(dth_age_ratio(db, wl));
     }
+    Ok(())
+}
 
-    let span = rec.open("compactor.quiesce", 0, SETUP_OP);
-    let t0 = Instant::now();
-    db.persist()
-        .and_then(|()| db.maintain())
-        .map_err(|e| format!("quiesce: {e}"))?;
-    pass.quiesce_s = t0.elapsed().as_secs_f64();
-    rec.close(span);
-    lifetime.absorb(&db.stats());
-    pass.write_amp = lifetime.write_amp();
-    pass.data_bytes = probe::dir_bytes(&dir, |n| n.ends_with(".data"));
-    pass.manifest_bytes = probe::dir_bytes(&dir, |n| n.ends_with(".manifest"));
-    pass.batchlog_bytes = probe::dir_bytes(&dir, |n| n == "BATCHES");
-    pass.disk_bytes = probe::dir_bytes(&dir, |_| true);
+/// The quiesced first store's file sizes, then drop, reopen, the check of
+/// the reopened store against the oracles and the backend probe.
+fn first_store_reopen(
+    wl: &Workload,
+    db: ShardedLethe,
+    dir: &Path,
+    oracles: &[Oracle],
+    traced: bool,
+    rec: &mut Recorder,
+    pass: &mut Pass,
+) -> Result<(), String> {
+    pass.data_bytes = probe::dir_bytes(dir, |n| n.ends_with(".data"));
+    pass.manifest_bytes = probe::dir_bytes(dir, |n| n.ends_with(".manifest"));
+    pass.batchlog_bytes = probe::dir_bytes(dir, |n| n == "BATCHES");
+    pass.disk_bytes = probe::dir_bytes(dir, |_| true);
     drop(db);
 
     let span = rec.open("shard.reopen", 0, SETUP_OP);
     let t0 = Instant::now();
     let db = wl
         .builder()
-        .open(&dir)
+        .open(dir)
         .map_err(|e| format!("reopen after the run: {e}"))?;
     pass.reopen_after_run_s = t0.elapsed().as_secs_f64();
     rec.close(span);
-    let view: Vec<&Oracle> = match &shared {
-        Some(all) => vec![all],
-        None => oracles.iter().collect(),
-    };
-    verify(&db, &view, &mut pass);
+    verify(&db, oracles, pass);
     drop(db);
 
     if traced {
         pass.backend_read_us =
-            probe::backend_probe(&dir, &mut rec).map_err(|e| format!("backend probe: {e}"))?;
-        (pass.wal_append_us, pass.wal_commit_us) =
-            probe::wal_probe(root, &mut rec).map_err(|e| format!("wal probe: {e}"))?;
+            probe::backend_probe(dir, rec).map_err(|e| format!("backend probe: {e}"))?;
     }
-    fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
-    pass.bytes_written = probe::process_write_bytes().saturating_sub(written_before);
-    spans.add(&rec.spans);
-    spans.finish();
-    pass.spans = spans;
-    Ok(pass)
+    Ok(())
 }
 
 /// Opens a fresh store in `dir` and preloads every client's keys through
@@ -376,20 +491,26 @@ fn counters(db: &ShardedLethe) -> (TreeStats, IoSnapshot, CacheSnapshot, Backpre
     )
 }
 
+/// The deltas of the counters the per-layer metrics read; every other
+/// field is left at zero, so deltas can be summed with `absorb`.
 fn stats_delta(after: &TreeStats, before: &TreeStats) -> TreeStats {
-    let mut d = after.clone();
-    d.flushes -= before.flushes;
-    d.compactions -= before.compactions;
-    d.ttl_triggered_compactions -= before.ttl_triggered_compactions;
-    d.entries_compacted -= before.entries_compacted;
-    d.bytes_flushed -= before.bytes_flushed;
-    d.bytes_compacted -= before.bytes_compacted;
-    d.tombstone_gc_delayed -= before.tombstone_gc_delayed;
-    d.secondary_delete.full_page_drops -= before.secondary_delete.full_page_drops;
-    d.secondary_delete.partial_page_drops -= before.secondary_delete.partial_page_drops;
-    d.secondary_delete.pages_untouched -= before.secondary_delete.pages_untouched;
-    d.secondary_delete.entries_deleted -= before.secondary_delete.entries_deleted;
-    d
+    let mut kiwi = after.secondary_delete;
+    kiwi.full_page_drops -= before.secondary_delete.full_page_drops;
+    kiwi.partial_page_drops -= before.secondary_delete.partial_page_drops;
+    kiwi.pages_untouched -= before.secondary_delete.pages_untouched;
+    kiwi.entries_deleted -= before.secondary_delete.entries_deleted;
+    TreeStats {
+        flushes: after.flushes - before.flushes,
+        compactions: after.compactions - before.compactions,
+        ttl_triggered_compactions: after.ttl_triggered_compactions
+            - before.ttl_triggered_compactions,
+        entries_compacted: after.entries_compacted - before.entries_compacted,
+        bytes_flushed: after.bytes_flushed - before.bytes_flushed,
+        bytes_compacted: after.bytes_compacted - before.bytes_compacted,
+        tombstone_gc_delayed: after.tombstone_gc_delayed - before.tombstone_gc_delayed,
+        secondary_delete: kiwi,
+        ..TreeStats::default()
+    }
 }
 
 /// Purges the oldest tenth of each client's preloaded delete keys through
@@ -466,8 +587,22 @@ struct ClientOut {
     spans: Vec<Span>,
 }
 
-/// One closed-loop client: issues its stream until `deadline`, timing each
-/// call to acknowledgement and checking each answer outside the timer.
+/// When one client's share of a store's measured phase runs.
+#[derive(Clone, Copy)]
+struct ClientCtx {
+    start: Instant,
+    /// The window every sample falls in; `None` on a pass's only store,
+    /// whose windows are the seconds since `start`.
+    window: Option<u64>,
+    deadline: Instant,
+    /// Operations this client issues on the store at most.
+    cap: u64,
+    traced: bool,
+}
+
+/// One closed-loop client: issues its stream from the start until
+/// `deadline` or its cap, timing each call to acknowledgement and checking
+/// each answer outside the timer.
 #[allow(clippy::too_many_arguments)]
 fn client(
     db: &ShardedLethe,
@@ -476,11 +611,16 @@ fn client(
     oracle: &mut Oracle,
     shared: Option<&Oracle>,
     t: usize,
-    start: Instant,
-    deadline: Instant,
+    ctx: ClientCtx,
     mut rec: Recorder,
-    traced: bool,
 ) -> ClientOut {
+    let ClientCtx {
+        start,
+        window,
+        deadline,
+        cap,
+        traced,
+    } = ctx;
     let mut out = ClientOut {
         lat: Default::default(),
         ops: 0,
@@ -662,12 +802,12 @@ fn client(
                 (t0, t1)
             }
         };
-        let window = t1.duration_since(start).as_secs();
-        out.lat[class as usize].push(trace::tag(window, t1.duration_since(t0).as_nanos() as u64));
+        let w = window.unwrap_or_else(|| t1.duration_since(start).as_secs());
+        out.lat[class as usize].push(trace::tag(w, t1.duration_since(t0).as_nanos() as u64));
         if sample_dth && out.ops.is_multiple_of(DTH_SAMPLE_EVERY) {
             out.dth_age_ratio = out.dth_age_ratio.max(dth_age_ratio(db, wl));
         }
-        if t1 >= deadline {
+        if t1 >= deadline || out.ops >= cap {
             out.end = t1;
             break;
         }
@@ -679,11 +819,11 @@ fn client(
     out
 }
 
-/// Checks the reopened store against the oracles: a full scan must return
+/// Checks a store against the oracles: a full scan must return
 /// exactly the acknowledged live keys with their last versions (so no
 /// deleted or purged key may reappear), and point gets of a sample of the
 /// live keys must agree.
-fn verify(db: &ShardedLethe, oracles: &[&Oracle], pass: &mut Pass) {
+fn verify(db: &ShardedLethe, oracles: &[Oracle], pass: &mut Pass) {
     let mut want: Vec<(u64, u64)> = oracles.iter().flat_map(|o| o.live()).collect();
     want.sort_unstable();
     let mut seen = 0usize;

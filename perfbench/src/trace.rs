@@ -115,7 +115,7 @@ impl SpanStats {
     }
 }
 
-/// Latency samples carry the index of the one-second window of the
+/// Latency samples carry the index of the window of the
 /// measured phase they completed in above this bit: sorting tagged samples
 /// groups them by window, each window's latencies in order.
 const WINDOW_SHIFT: u32 = 40;

@@ -298,7 +298,7 @@ fn filler(key: u64, version: u64) -> u8 {
 }
 
 /// The acknowledged state of the keys one client owns.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Oracle {
     /// key → (version, delete key) of its live version.
     live: HashMap<u64, (u64, u64)>,
