@@ -3,8 +3,9 @@
 //! Four measurements:
 //!
 //! 1. **Long scan, streaming vs seed path** — a full scan of the store
-//!    through the cursor stack (`TreeReader::range`, which drains the heap
-//!    merge) against a faithful reconstruction of the seed's
+//!    through the cursor stack (`TreeReader::range`, which collects the
+//!    `iter_range` heap merge — the one scan path live and snapshot reads
+//!    share) against a faithful reconstruction of the seed's
 //!    materialise-and-resort path (every overlapping table's entries
 //!    collected into vectors, concatenated, re-sorted and deduplicated via
 //!    `merge_entries`). Reported, with a no-regression floor gate.

@@ -23,7 +23,7 @@ use lethe_lsm::strategy::{DateTieredPolicy, SizeTieredPolicy};
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
 use lethe_lsm::batch::WriteBatch;
 use lethe_lsm::snapshot::SnapshotTracker;
-use lethe_lsm::tree::{LsmTree, MaintenanceMode, RangeIter, TreeReader, TreeSnapshot};
+use lethe_lsm::tree::{LsmTree, MaintenanceMode, RangeIter, TreeReader};
 use lethe_storage::{
     CacheSnapshot, CachedBackend, DeleteKey, Entry, FailPoint, FileBackend, FileWal,
     InMemoryBackend, IoSnapshot, LogicalClock, Manifest, PageCache, Result, SortKey,
@@ -539,16 +539,17 @@ impl Lethe {
         LetheBuilder::new().restore(dir)
     }
 
-    /// Captures a frozen point-in-time view of this engine's tree (see
-    /// [`lethe_lsm::tree::TreeSnapshot`]). The `&mut` receiver is the write
-    /// serialisation the capture requires; the returned view reads without
-    /// any lock. Registering the covering seqnum fence with the
+    /// Captures a frozen point-in-time view of this engine's tree: a
+    /// [`TreeReader`] over private buffers and a pinned version (see
+    /// [`LsmTree::capture_snapshot`]). The `&mut` receiver is the write
+    /// serialisation the capture requires; the returned view takes no
+    /// engine lock. Registering the covering seqnum fence with the
     /// [`snapshot tracker`](Lethe::snapshot_tracker) — so tombstone GC is
     /// gated while the view is alive — is the caller's responsibility, which
     /// the sharded front-end's
     /// [`ShardedLethe::snapshot`](crate::shard::ShardedLethe::snapshot)
     /// discharges automatically.
-    pub fn capture_snapshot(&mut self) -> TreeSnapshot {
+    pub fn capture_snapshot(&mut self) -> TreeReader {
         self.tree.capture_snapshot()
     }
 

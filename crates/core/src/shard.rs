@@ -127,7 +127,7 @@ use lethe_lsm::config::{LsmConfig, MergePolicy};
 use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::sstable::{SecondaryDeleteStats, SsTable};
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
-use lethe_lsm::tree::{MaintenanceMode, RangeIter, TreeReader, TreeSnapshot};
+use lethe_lsm::tree::{MaintenanceMode, RangeIter, TreeReader};
 use lethe_storage::{
     write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker,
     DeleteKey, Entry, FileBackend, IoSnapshot, LogicalClock, Manifest, ManifestState, PageCache,
@@ -1059,32 +1059,14 @@ impl ShardedLethe {
     /// concurrent maintenance, but the per-shard snapshots are taken one
     /// after another — the usual weakly-consistent fan-out contract.
     pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> ShardedRangeIter {
-        let mut heads = Vec::with_capacity(self.shards.len());
-        let mut pending_err = None;
-        for shard in &self.shards {
-            match shard.reader.iter_range(lo, hi) {
-                Ok(iter) => {
-                    let mut head = ShardHead { iter, next: None };
-                    head.pull(&mut pending_err);
-                    heads.push(head);
-                }
-                Err(e) => {
-                    pending_err.get_or_insert(e);
-                }
-            }
-        }
-        ShardedRangeIter { heads, pending_err, done: false }
+        fan_out_iter_range(self.shards.iter().map(|s| &s.reader), lo, hi)
     }
 
     /// Secondary range lookup: every live entry whose delete key lies in
     /// `[lo, hi)`, across all shards, in sort-key order. Served from the
     /// per-shard snapshot readers without shard locks.
     pub fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            per_shard.push(shard.reader.secondary_range_scan(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |e: &Entry| e.sort_key))
+        fan_out_scan_by_delete_key(self.shards.iter().map(|s| &s.reader), lo, hi)
     }
 
     /// Captures a consistent cross-shard point-in-time view of the whole
@@ -1111,7 +1093,7 @@ impl ShardedLethe {
         let guards: Vec<_> = self.shards.iter().map(|s| s.engine.lock()).collect();
         let fence = self.seqnums.load(Ordering::SeqCst);
         self.snapshots.register(fence);
-        let shards: Vec<TreeSnapshot> = guards.iter().map(|g| g.tree().capture_snapshot()).collect();
+        let shards: Vec<TreeReader> = guards.iter().map(|g| g.tree().capture_snapshot()).collect();
         drop(guards);
         let inner = Arc::new(SnapshotInner {
             fence,
@@ -1474,7 +1456,7 @@ impl Iterator for ShardedRangeIter {
 /// reclamation resume.
 struct SnapshotInner {
     fence: SeqNum,
-    shards: Vec<TreeSnapshot>,
+    shards: Vec<TreeReader>,
     tracker: Arc<SnapshotTracker>,
 }
 
@@ -1539,47 +1521,22 @@ impl Snapshot {
     /// Range lookup over `[lo, hi)` at the snapshot, merged back into
     /// global sort-key order across shards.
     pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        let inner = self.pinned()?;
-        let mut per_shard = Vec::with_capacity(inner.shards.len());
-        for shard in &inner.shards {
-            per_shard.push(shard.range(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |kv: &(SortKey, Bytes)| kv.0))
+        self.iter_range(lo, hi)?.collect()
     }
 
-    /// Streaming range scan over `[lo, hi)` at the snapshot: the frozen
-    /// twin of [`ShardedLethe::iter_range`], k-way merging per-shard
-    /// cursors over the captured state. The returned iterator owns its own
-    /// pins, so it remains valid even if the handle is expired mid-scan.
+    /// Streaming range scan over `[lo, hi)` at the snapshot: the same
+    /// fan-out as [`ShardedLethe::iter_range`], over the captured readers.
+    /// The returned iterator owns its own pins, so it remains valid even if
+    /// the handle is expired mid-scan.
     pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<ShardedRangeIter> {
-        let inner = self.pinned()?;
-        let mut heads = Vec::with_capacity(inner.shards.len());
-        let mut pending_err = None;
-        for shard in &inner.shards {
-            match shard.iter_range(lo, hi) {
-                Ok(iter) => {
-                    let mut head = ShardHead { iter, next: None };
-                    head.pull(&mut pending_err);
-                    heads.push(head);
-                }
-                Err(e) => {
-                    pending_err.get_or_insert(e);
-                }
-            }
-        }
-        Ok(ShardedRangeIter { heads, pending_err, done: false })
+        Ok(fan_out_iter_range(&self.pinned()?.shards, lo, hi))
     }
 
     /// Secondary range lookup at the snapshot: every entry live at the
     /// fence whose delete key lies in `[lo, hi)`, across all shards, in
     /// sort-key order.
     pub fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        let inner = self.pinned()?;
-        let mut per_shard = Vec::with_capacity(inner.shards.len());
-        for shard in &inner.shards {
-            per_shard.push(shard.scan_by_delete_key(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |e: &Entry| e.sort_key))
+        fan_out_scan_by_delete_key(&self.pinned()?.shards, lo, hi)
     }
 }
 
@@ -1592,30 +1549,48 @@ impl Drop for Snapshot {
     }
 }
 
-/// K-way merges per-source vectors that are each already sorted by `key`
-/// into one globally sorted vector. Ties across sources are broken by source
-/// index, which makes fan-out results deterministic.
-fn merge_sorted_by_key<T, K: Ord + Copy>(sources: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    let total: usize = sources.iter().map(Vec::len).sum();
-    let mut heads: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
-        sources.into_iter().map(|v| v.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, K)> = None;
-        for (i, head) in heads.iter_mut().enumerate() {
-            if let Some(item) = head.peek() {
-                let k = key(item);
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
+/// Streams `[lo, hi)` from one reader per shard, k-way merged into global
+/// sort-key order: the fan-out behind both [`ShardedLethe::iter_range`]
+/// (live readers) and [`Snapshot::iter_range`] (captured readers). A shard
+/// whose scan fails to open parks its error for the iterator to yield.
+fn fan_out_iter_range<'a>(
+    readers: impl IntoIterator<Item = &'a TreeReader>,
+    lo: SortKey,
+    hi: SortKey,
+) -> ShardedRangeIter {
+    let mut heads = Vec::new();
+    let mut pending_err = None;
+    for reader in readers {
+        match reader.iter_range(lo, hi) {
+            Ok(iter) => {
+                let mut head = ShardHead { iter, next: None };
+                head.pull(&mut pending_err);
+                heads.push(head);
+            }
+            Err(e) => {
+                pending_err.get_or_insert(e);
             }
         }
-        match best {
-            Some((i, _)) => out.push(heads[i].next().unwrap()),
-            None => break,
-        }
     }
-    out
+    ShardedRangeIter { heads, pending_err, done: false }
+}
+
+/// Secondary range scan over one reader per shard, in global sort-key
+/// order: the fan-out behind both [`ShardedLethe::scan_by_delete_key`] and
+/// [`Snapshot::scan_by_delete_key`]. Each shard's hits arrive sorted and
+/// hash partitioning puts every key in exactly one shard, so a stable sort
+/// of the concatenation merges the runs without ties.
+fn fan_out_scan_by_delete_key<'a>(
+    readers: impl IntoIterator<Item = &'a TreeReader>,
+    lo: DeleteKey,
+    hi: DeleteKey,
+) -> Result<Vec<Entry>> {
+    let mut hits = Vec::new();
+    for reader in readers {
+        hits.extend(reader.secondary_range_scan(lo, hi)?);
+    }
+    hits.sort_by_key(|e| e.sort_key);
+    Ok(hits)
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@
 //!   incrementally through a sorted [`TombstoneWindow`] (O(log t) per entry
 //!   instead of a full tombstone-list scan per entry).
 //!
-//! The consumers are `TreeReader::range`/`iter_range` (version-pinned
-//! streaming scans) and `JobPlan::execute` (compactions and flushes merge
+//! The consumers are `TreeReader::iter_range` (version-pinned streaming
+//! scans, which `range` collects) and `TreeReader::entry_merge` (the
+//! checkpoint stream) — one reader type serves live reads and captured
+//! snapshots alike — and `JobPlan::execute` (compactions and flushes merge
 //! with memory bounded by *output file granularity*, not total input size).
 
 use crate::sstable::SsTable;

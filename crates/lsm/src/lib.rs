@@ -24,8 +24,10 @@
 //!   group-commit write path logs as a single WAL frame.
 //! * [`tree`] — [`tree::LsmTree`], the engine: puts, deletes, range deletes,
 //!   secondary range deletes, lookups, scans, flush and compaction, plus the
-//!   lock-free [`tree::TreeReader`] read surface and the plan/execute/apply
-//!   job cycle a background worker drives.
+//!   plan/execute/apply job cycle a background worker drives. Every read
+//!   goes through one type, [`tree::TreeReader`]: a live reader shares the
+//!   tree's buffers and version set, and a captured snapshot is the same
+//!   type over private buffers and one pinned version.
 //! * [`version`] — immutable, `Arc`-shared version sets: snapshot-isolated
 //!   reads and deferred page reclamation.
 //! * [`reclaim`] — the page-retirement choke point every engine-path
@@ -73,7 +75,6 @@ pub use sstable::{DeleteTile, PageHandle, SecondaryDeleteStats, SsTable, SsTable
 pub use stats::{ContentSnapshot, TreeStats};
 pub use strategy::{DateTieredPolicy, SizeTieredPolicy};
 pub use tree::{
-    BuildCtx, JobOutput, JobPlan, LsmTree, MaintenanceMode, RangeIter, RecoveryReport,
-    TreeReader, TreeSnapshot,
+    BuildCtx, JobOutput, JobPlan, LsmTree, MaintenanceMode, RangeIter, RecoveryReport, TreeReader,
 };
 pub use version::{Version, VersionSet};

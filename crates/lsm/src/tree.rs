@@ -19,14 +19,17 @@
 //! live in an immutable, `Arc`-shared [`VersionSet`] and the write buffer in
 //! shared `active`/`frozen` memtables, so [`TreeReader`] handles obtained
 //! from [`LsmTree::reader`] serve `get`/`range`/secondary scans from any
-//! thread while flushes and compactions run. Structural work is further
-//! split into **plan → execute → apply** phases ([`LsmTree::plan_job`],
-//! [`JobPlan::execute`], [`LsmTree::apply_job`]): planning and applying need
-//! the write lock but are cheap pointer work, while the expensive execute
-//! phase (page reads, merging, building output files) runs against pinned
-//! immutable state and needs no lock at all. A background worker (see
-//! `lethe-core`) drives exactly this cycle; the inline `flush`/`maintain`
-//! paths drive the same cycle synchronously.
+//! thread while flushes and compactions run. A point-in-time snapshot
+//! ([`LsmTree::capture_snapshot`]) is the same [`TreeReader`] type over a
+//! private copy of the buffers and a version set holding one pinned
+//! version, so live and snapshot reads run one implementation. Structural
+//! work is further split into **plan → execute → apply** phases
+//! ([`LsmTree::plan_job`], [`JobPlan::execute`], [`LsmTree::apply_job`]):
+//! planning and applying need the write lock but are cheap pointer work,
+//! while the expensive execute phase (page reads, merging, building output
+//! files) runs against pinned immutable state and needs no lock at all. A
+//! background worker (see `lethe-core`) drives exactly this cycle; the
+//! inline `flush`/`maintain` paths drive the same cycle synchronously.
 
 use crate::compaction::{CompactionPolicy, CompactionTask, TreeView};
 use crate::config::{LsmConfig, MergePolicy, SecondaryDeleteMode};
@@ -148,26 +151,27 @@ impl AsRef<[Entry]> for FrozenEntries {
     }
 }
 
-/// The shared write-buffer state: the active memtable plus at most one
-/// frozen buffer being flushed. Writers mutate `active` under its write
-/// lock; readers take brief read locks in the order the data moves
-/// (active → frozen → version set), so an entry is always visible in at
-/// least one of the three places.
+/// The write-buffer state a reader sees: the active memtable plus at most
+/// one frozen buffer being flushed. In a live tree writers mutate `active`
+/// under its write lock, and readers take brief read locks in the order the
+/// data moves (active → frozen → version set), so an entry is always
+/// visible in at least one of the three places. A captured snapshot owns a
+/// private copy that nothing writes to.
 #[derive(Debug)]
 struct MemState {
     active: RwLock<MemTable>,
     /// `Arc` so the flush plan pins the buffer with a pointer clone instead
     /// of copying it under the shard lock; the rare in-place mutation
     /// (secondary-delete purge, which runs with the worker paused) goes
-    /// through [`Arc::make_mut`].
+    /// through [`Arc::make_mut`], leaving pinned clones untouched.
     frozen: RwLock<Option<Arc<FrozenBuffer>>>,
 }
 
-impl Default for MemState {
-    fn default() -> Self {
+impl MemState {
+    fn new(active: MemTable, frozen: Option<Arc<FrozenBuffer>>) -> Self {
         MemState {
-            active: RwLock::new(LockRank::MemtableActive, MemTable::default()),
-            frozen: RwLock::new(LockRank::MemtableFrozen, None),
+            active: RwLock::new(LockRank::MemtableActive, active),
+            frozen: RwLock::new(LockRank::MemtableFrozen, frozen),
         }
     }
 }
@@ -175,19 +179,24 @@ impl Default for MemState {
 /// A cheap-to-clone, `Send + Sync` handle serving snapshot-isolated reads
 /// without the tree's write lock.
 ///
-/// Obtained from [`LsmTree::reader`]. Every operation pins the current
-/// [`Version`] (one `Arc` clone) and reads the shared memtables under brief
-/// read locks, so a reader is never blocked by a running flush or
-/// compaction, and never observes a half-committed version: version
-/// installation is a single pointer swap, and the pages of a pinned version
-/// are not reclaimed until the pin is dropped.
+/// A *live* reader, from [`LsmTree::reader`], shares the tree's buffers and
+/// version set. Every operation pins the current [`Version`] (one `Arc`
+/// clone) and reads the shared memtables under brief read locks, so a
+/// reader is never blocked by a running flush or compaction, and never
+/// observes a half-committed version: version installation is a single
+/// pointer swap, and the pages of a pinned version are not reclaimed until
+/// the pin is dropped.
 ///
 /// Consistency: point lookups are linearizable with respect to the writer
 /// (a write is visible the moment it is acknowledged). Multi-key operations
-/// (`range`, `scan_by_delete_key`) read the buffer and the version at
+/// (`range`, `secondary_range_scan`) read the buffer and the version at
 /// slightly different instants and are therefore *weakly* consistent with
 /// concurrent writers — exactly the contract the sharded front-end already
 /// documents for fan-out reads.
+///
+/// A *captured* reader, from [`LsmTree::capture_snapshot`], runs the same
+/// code over private buffers and a version set holding one pinned version.
+/// Nothing writes to either, so it answers every read as of capture time.
 #[derive(Clone)]
 pub struct TreeReader {
     config: LsmConfig,
@@ -210,32 +219,61 @@ impl TreeReader {
 
     /// Newest version (possibly a tombstone) of `sort_key`, or `None`.
     fn get_entry(&self, sort_key: SortKey) -> Result<Option<Entry>> {
+        match self.buffered_entry(sort_key) {
+            Some(e) => Ok(Some(e)),
+            None => self.disk_entry(&self.versions.current(), sort_key),
+        }
+    }
+
+    /// Newest buffered version of `sort_key`: active buffer, then frozen.
+    fn buffered_entry(&self, sort_key: SortKey) -> Option<Entry> {
         if let Some(e) = self.mem.active.read().get(sort_key) {
-            return Ok(Some(e));
+            return Some(e);
         }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
-        }
-        let version = self.versions.current();
-        self.disk_entry(&version, sort_key)
+        self.mem.frozen.read().as_ref().and_then(|f| f.get(sort_key))
     }
 
     /// Newest on-device version of `sort_key` within a pinned version.
     fn disk_entry(&self, version: &Version, sort_key: SortKey) -> Result<Option<Entry>> {
-        disk_point_lookup(version, self.backend.as_ref(), sort_key)
+        let backend = self.backend.as_ref();
+        let stats = backend.stats();
+        for level in &version.levels {
+            for run in &level.runs {
+                // a key normally maps to one file, but range tombstones can
+                // stretch a file's range over its neighbours
+                let mut candidate: Option<Entry> = None;
+                for table in run.tables() {
+                    if !table.key_in_range(sort_key) {
+                        continue;
+                    }
+                    if let Some(e) = table.get(sort_key, backend, &stats)? {
+                        candidate = match candidate {
+                            Some(c) if c.seqnum >= e.seqnum => Some(c),
+                            _ => Some(e),
+                        };
+                    }
+                }
+                if candidate.is_some() {
+                    return Ok(candidate);
+                }
+            }
+        }
+        Ok(None)
     }
 
-    /// Builds the streaming merge a sort-key range scan runs on: one cursor
-    /// per source (active snapshot, pinned frozen buffer, fence-pruned lazy
-    /// file cursors of the pinned version), newest source first, plus every
-    /// source's range tombstones for the shadowing window. The returned
-    /// version pin must be held for as long as the merge is consumed.
-    fn build_range_merge(
+    /// Builds the k-way merge a sort-key scan runs on: one cursor per source
+    /// (active snapshot, pinned frozen buffer, fence-pruned lazy file
+    /// cursors of the pinned version), newest source first, plus every
+    /// source's range tombstones for the shadowing window.
+    /// `drop_tombstones` selects between the user-facing view (resolved,
+    /// tombstones consumed) and the checkpoint stream (full entries,
+    /// tombstones retained). The returned version pin must be held for as
+    /// long as the merge is consumed.
+    fn build_merge(
         &self,
         lo: SortKey,
         hi: SortKey,
+        drop_tombstones: bool,
     ) -> Result<(MergeIterator, Arc<Version>)> {
         let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
         let mut rts: Vec<Entry> = Vec::new();
@@ -268,26 +306,15 @@ impl TreeReader {
                 false,
             )));
         }
-        Ok((MergeIterator::new(cursors, rts, true)?, version))
+        Ok((MergeIterator::new(cursors, rts, drop_tombstones)?, version))
     }
 
     /// Range lookup on the sort key: returns the live `(key, value)` pairs in
-    /// `[lo, hi)`, newest version per key, in key order.
-    ///
-    /// Internally this drains [`TreeReader::iter_range`]'s streaming merge;
-    /// callers that do not need the whole result at once should use the
-    /// iterator directly.
+    /// `[lo, hi)`, newest version per key, in key order: the collected
+    /// [`TreeReader::iter_range`] stream. Callers that do not need the whole
+    /// result at once should use the iterator directly.
     pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        self.counters.range_lookups.fetch_add(1, Ordering::Relaxed);
-        if hi <= lo {
-            return Ok(Vec::new());
-        }
-        let (mut merge, _pin) = self.build_range_merge(lo, hi)?;
-        let mut out = Vec::new();
-        while let Some(e) = merge.next_merged()? {
-            out.push((e.sort_key, e.value));
-        }
-        Ok(out)
+        self.iter_range(lo, hi)?.collect()
     }
 
     /// Streaming range scan over `[lo, hi)`: yields the live `(key, value)`
@@ -306,8 +333,47 @@ impl TreeReader {
         if hi <= lo {
             return Ok(RangeIter { merge: None, _pin: None });
         }
-        let (merge, pin) = self.build_range_merge(lo, hi)?;
+        let (merge, pin) = self.build_merge(lo, hi, true)?;
         Ok(RangeIter { merge: Some(merge), _pin: Some(pin) })
+    }
+
+    /// The checkpoint source stream: every entry in sort-key order, newest
+    /// version per key, **retaining tombstones** and their delete keys and
+    /// seqnums, so a store rebuilt from a captured reader's stream is
+    /// byte-identical to its view (including not resurrecting deleted
+    /// history a restore-side compaction has yet to persist). The file
+    /// cursors own their tables, which keeps the pages they still have to
+    /// read from being reclaimed.
+    pub fn entry_merge(&self) -> Result<MergeIterator> {
+        Ok(self.build_merge(SortKey::MIN, SortKey::MAX, false)?.0)
+    }
+
+    /// Every range tombstone visible to this reader, from all sources
+    /// (checkpoints persist them alongside the point entries).
+    pub fn all_range_tombstones(&self) -> Vec<Entry> {
+        let mut rts: Vec<Entry> = self.mem.active.read().range_tombstones().to_vec();
+        if let Some(f) = self.mem.frozen.read().as_ref() {
+            rts.extend(f.range_tombstones.iter().cloned());
+        }
+        for table in self.versions.current().levels.iter().flat_map(Level::all_tables) {
+            rts.extend(table.range_tombstones.iter().cloned());
+        }
+        rts.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then(a.seqnum.cmp(&b.seqnum)));
+        rts.dedup_by(|a, b| a.sort_key == b.sort_key && a.seqnum == b.seqnum);
+        rts
+    }
+
+    /// Insertion time of the oldest tombstone visible to this reader, for
+    /// the FADE age accounting of files a checkpoint builds from it.
+    pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
+        let mut oldest = self.mem.active.read().oldest_tombstone_ts();
+        if let Some(f) = self.mem.frozen.read().as_ref() {
+            oldest = min_opt(oldest, f.oldest_tombstone_ts);
+        }
+        for table in self.versions.current().levels.iter().flat_map(Level::all_tables) {
+            oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
+        }
+        oldest
     }
 
     /// Secondary range lookup: returns every live entry whose **delete key**
@@ -332,23 +398,16 @@ impl TreeReader {
         // short-circuit would validate candidates against a stale snapshot.
         let generation = self.versions.installs();
         let version = self.versions.current();
-        for level in &version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    // KiWi fence pruning at file granularity: a file whose
-                    // delete-key bounds cannot intersect the scanned range
-                    // holds no qualifying page, so none of its delete
-                    // fences (let alone pages) need to be consulted
-                    let meta = &table.meta;
-                    if meta.num_entries == 0
-                        || meta.max_delete < d_lo
-                        || meta.min_delete >= d_hi
-                    {
-                        continue;
-                    }
-                    hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);
-                }
+        for table in version.levels.iter().flat_map(Level::all_tables) {
+            // KiWi fence pruning at file granularity: a file whose
+            // delete-key bounds cannot intersect the scanned range holds no
+            // qualifying page, so none of its delete fences (let alone
+            // pages) need to be consulted
+            let meta = &table.meta;
+            if meta.num_entries == 0 || meta.max_delete < d_lo || meta.min_delete >= d_hi {
+                continue;
             }
+            hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);
         }
         // keep only the globally newest version of each key, and only if that
         // version is live and still qualifies
@@ -378,7 +437,8 @@ impl TreeReader {
     /// version installs). For the disk portion the collection-time pin is
     /// reused when no version has been installed since — skipping the
     /// per-candidate re-pin (version lock + `Arc` bump) the seed paid on
-    /// every key — and only a mismatch falls back to a fresh pin.
+    /// every key — and only a mismatch falls back to a fresh pin. A captured
+    /// reader's version set never installs, so it always takes the pin.
     ///
     /// Safety of the short-circuit against a concurrent flush: `apply_job`
     /// installs the new version *before* clearing the frozen slot, and the
@@ -393,13 +453,8 @@ impl TreeReader {
         generation: u64,
         sort_key: SortKey,
     ) -> Result<Option<Entry>> {
-        if let Some(e) = self.mem.active.read().get(sort_key) {
+        if let Some(e) = self.buffered_entry(sort_key) {
             return Ok(Some(e));
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
         }
         if self.versions.installs() == generation {
             self.disk_entry(pinned, sort_key)
@@ -505,227 +560,6 @@ impl Iterator for RangeIter {
                 Some(Err(e))
             }
         }
-    }
-}
-
-/// Newest on-device version of `sort_key` within a pinned version, shared
-/// by the live reader and frozen snapshots.
-fn disk_point_lookup(
-    version: &Version,
-    backend: &dyn StorageBackend,
-    sort_key: SortKey,
-) -> Result<Option<Entry>> {
-    let stats = backend.stats();
-    for level in &version.levels {
-        for run in &level.runs {
-            // a key normally maps to one file, but range tombstones can
-            // stretch a file's range over its neighbours
-            let mut candidate: Option<Entry> = None;
-            for table in run.tables() {
-                if !table.key_in_range(sort_key) {
-                    continue;
-                }
-                if let Some(e) = table.get(sort_key, backend, &stats)? {
-                    candidate = match candidate {
-                        Some(c) if c.seqnum >= e.seqnum => Some(c),
-                        _ => Some(e),
-                    };
-                }
-            }
-            if candidate.is_some() {
-                return Ok(candidate);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// A frozen point-in-time view of one tree, produced by
-/// [`LsmTree::capture_snapshot`] while the embedding layer holds the tree's
-/// write serialisation (the sharded front-end captures all shards under
-/// their engine locks so one seqnum fence covers the whole store).
-///
-/// The capture is three pointers plus one bounded copy: the active
-/// memtable's entries are cloned (bounded by the buffer capacity), the
-/// frozen buffer — if one is pending flush — is pinned by `Arc` (the rare
-/// in-place mutation goes through `Arc::make_mut`, leaving pinned clones
-/// untouched), and the current [`Version`] is pinned, which defers page
-/// reclamation of its tables for as long as the snapshot lives. Subsequent
-/// writes, flushes, compactions and secondary deletes therefore cannot
-/// change what this view returns.
-#[derive(Clone)]
-pub struct TreeSnapshot {
-    backend: Arc<dyn StorageBackend>,
-    /// The capture-time active buffer, reusing the frozen-buffer shape so
-    /// scans stream it through the same shared-slice cursor.
-    active: Arc<FrozenBuffer>,
-    frozen: Option<Arc<FrozenBuffer>>,
-    version: Arc<Version>,
-}
-
-impl TreeSnapshot {
-    /// Point lookup at the snapshot: the value of `sort_key` as of capture
-    /// time, or `None` if it did not exist or was deleted.
-    pub fn get(&self, sort_key: SortKey) -> Result<Option<Bytes>> {
-        Ok(match self.get_entry(sort_key)? {
-            Some(e) if e.kind == EntryKind::Put => Some(e.value),
-            _ => None,
-        })
-    }
-
-    /// Newest captured version (possibly a tombstone) of `sort_key`.
-    fn get_entry(&self, sort_key: SortKey) -> Result<Option<Entry>> {
-        if let Some(e) = self.active.get(sort_key) {
-            return Ok(Some(e));
-        }
-        if let Some(f) = &self.frozen {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
-        }
-        disk_point_lookup(&self.version, self.backend.as_ref(), sort_key)
-    }
-
-    /// Builds the k-way merge of the captured sources over `[lo, hi)`,
-    /// newest source first — the frozen twin of
-    /// [`TreeReader::build_range_merge`]. `drop_tombstones` selects between
-    /// the user-facing view (resolved, tombstones consumed) and the
-    /// checkpoint stream (full entries, tombstones retained).
-    fn build_merge(&self, lo: SortKey, hi: SortKey, drop_tombstones: bool) -> Result<MergeIterator> {
-        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
-        let mut rts: Vec<Entry> = Vec::new();
-        for buf in [Some(&self.active), self.frozen.as_ref()].into_iter().flatten() {
-            let start = buf.entries.partition_point(|e| e.sort_key < lo);
-            let end = buf.entries.partition_point(|e| e.sort_key < hi);
-            rts.extend(buf.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SharedSliceCursor::new(FrozenEntries(Arc::clone(buf)), start, end)));
-        }
-        for table in self.version.overlapping_tables(lo, hi) {
-            rts.extend(table.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SsTableCursor::new(
-                table,
-                Arc::clone(&self.backend),
-                lo,
-                hi,
-                false,
-            )));
-        }
-        MergeIterator::new(cursors, rts, drop_tombstones)
-    }
-
-    /// Range lookup at the snapshot: live `(key, value)` pairs in `[lo, hi)`
-    /// as of capture time, newest version per key, in key order.
-    pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        if hi <= lo {
-            return Ok(Vec::new());
-        }
-        let mut merge = self.build_merge(lo, hi, true)?;
-        let mut out = Vec::new();
-        while let Some(e) = merge.next_merged()? {
-            out.push((e.sort_key, e.value));
-        }
-        Ok(out)
-    }
-
-    /// Streaming range scan over `[lo, hi)` at the snapshot: same contract
-    /// as [`TreeReader::iter_range`], but against the captured state.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<RangeIter> {
-        if hi <= lo {
-            return Ok(RangeIter { merge: None, _pin: None });
-        }
-        let merge = self.build_merge(lo, hi, true)?;
-        Ok(RangeIter { merge: Some(merge), _pin: Some(Arc::clone(&self.version)) })
-    }
-
-    /// The checkpoint source stream: every entry of the snapshot in sort-key
-    /// order, newest version per key, **retaining tombstones** and their
-    /// delete keys and seqnums, so a store rebuilt from it is byte-identical
-    /// to the snapshot view (including not resurrecting deleted history a
-    /// restore-side compaction has yet to persist).
-    pub fn entry_merge(&self) -> Result<MergeIterator> {
-        self.build_merge(SortKey::MIN, SortKey::MAX, false)
-    }
-
-    /// Every range tombstone visible in this snapshot, from all captured
-    /// sources (checkpoints persist them alongside the point entries).
-    pub fn all_range_tombstones(&self) -> Vec<Entry> {
-        let mut rts: Vec<Entry> = Vec::new();
-        for buf in [Some(&self.active), self.frozen.as_ref()].into_iter().flatten() {
-            rts.extend(buf.range_tombstones.iter().cloned());
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    rts.extend(table.range_tombstones.iter().cloned());
-                }
-            }
-        }
-        rts.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then(a.seqnum.cmp(&b.seqnum)));
-        rts.dedup_by(|a, b| a.sort_key == b.sort_key && a.seqnum == b.seqnum);
-        rts
-    }
-
-    /// Insertion time of the oldest tombstone visible in the snapshot, for
-    /// the FADE age accounting of files a checkpoint builds from it.
-    pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
-        let mut oldest = self.active.oldest_tombstone_ts;
-        if let Some(f) = &self.frozen {
-            oldest = min_opt(oldest, f.oldest_tombstone_ts);
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-                }
-            }
-        }
-        oldest
-    }
-
-    /// Secondary range scan at the snapshot: every entry live at capture
-    /// time whose **delete key** lies in `[d_lo, d_hi)`.
-    pub fn scan_by_delete_key(&self, d_lo: DeleteKey, d_hi: DeleteKey) -> Result<Vec<Entry>> {
-        if d_hi <= d_lo {
-            return Ok(Vec::new());
-        }
-        let qualifies =
-            |e: &&Entry| !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi;
-        let mut hits: Vec<Entry> = self.active.entries.iter().filter(qualifies).cloned().collect();
-        if let Some(f) = &self.frozen {
-            hits.extend(f.entries.iter().filter(qualifies).cloned());
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    // KiWi fence pruning at file granularity, as in the live
-                    // reader
-                    let meta = &table.meta;
-                    if meta.num_entries == 0 || meta.max_delete < d_lo || meta.min_delete >= d_hi
-                    {
-                        continue;
-                    }
-                    hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);
-                }
-            }
-        }
-        // keep only the snapshot-wide newest version of each key, and only
-        // if that version is live and still qualifies. Unlike the live
-        // reader there is no install race to re-validate against: the
-        // captured sources are immutable, so the snapshot's own point
-        // lookup is the authority.
-        hits.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
-        let mut out: Vec<Entry> = Vec::with_capacity(hits.len());
-        for e in hits {
-            if out.last().map(|p: &Entry| p.sort_key) == Some(e.sort_key) {
-                continue;
-            }
-            if let Some(newest) = self.get_entry(e.sort_key)? {
-                if newest.seqnum == e.seqnum && newest.kind == EntryKind::Put {
-                    out.push(e);
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1065,8 +899,6 @@ pub struct LsmTree {
     clock: LogicalClock,
     policy: Box<dyn CompactionPolicy>,
     mem: Arc<MemState>,
-    /// Insertion time of the oldest tombstone currently in the active buffer.
-    buffer_oldest_tombstone_ts: Option<Timestamp>,
     versions: Arc<VersionSet>,
     /// Sequence-number allocator. Shared across every shard of a sharded
     /// store so one cross-shard batch commits under one seqnum range.
@@ -1107,7 +939,7 @@ impl LsmTree {
     ) -> Result<Self> {
         config.validate().map_err(StorageError::InvalidOperation)?;
         let domain = config.key_domain.max(2);
-        let mem = Arc::new(MemState::default());
+        let mem = Arc::new(MemState::new(MemTable::default(), None));
         let versions = Arc::new(VersionSet::new());
         let counters = Arc::new(ReadCounters::default());
         let reader = TreeReader {
@@ -1125,7 +957,6 @@ impl LsmTree {
             clock,
             policy,
             mem,
-            buffer_oldest_tombstone_ts: None,
             versions,
             next_seqnum: Arc::new(AtomicU64::new(1)),
             committed_batches: HashSet::new(),
@@ -1200,32 +1031,29 @@ impl LsmTree {
         self.next_seqnum.load(Ordering::Relaxed)
     }
 
-    /// Captures a frozen point-in-time view of this tree.
+    /// Captures a frozen point-in-time view of this tree: a [`TreeReader`]
+    /// over a private clone of the active memtable (bounded by the buffer
+    /// capacity), the frozen buffer pinned by `Arc`, and a version set that
+    /// holds only the current [`Version`] — which defers page reclamation of
+    /// its tables for as long as the view lives. Nothing writes to any of
+    /// the three, so later writes, flushes, compactions and secondary
+    /// deletes cannot change what the view returns.
     ///
     /// Call while holding the tree's write serialisation (the shard's
     /// engine lock in the sharded store): under it no write, flush commit
     /// or version install can interleave, so the three captured sources
-    /// (active clone, pinned frozen buffer, pinned version) describe one
-    /// instant. The returned [`TreeSnapshot`] is immutable and reads
-    /// without any tree lock. The caller is responsible for registering
+    /// describe one instant. The view's reads take only its own,
+    /// uncontended read locks. The caller is responsible for registering
     /// the covering seqnum fence with the [`SnapshotTracker`] so tombstone
     /// GC is gated while the view is alive.
-    pub fn capture_snapshot(&self) -> TreeSnapshot {
-        let (entries, range_tombstones) = {
-            let active = self.mem.active.read();
-            (active.iter().cloned().collect::<Vec<Entry>>(), active.range_tombstones().to_vec())
-        };
-        let frozen = self.mem.frozen.read().clone();
-        TreeSnapshot {
+    pub fn capture_snapshot(&self) -> TreeReader {
+        let mem = MemState::new(self.mem.active.read().clone(), self.mem.frozen.read().clone());
+        TreeReader {
+            config: self.config.clone(),
             backend: Arc::clone(&self.backend),
-            active: Arc::new(FrozenBuffer {
-                entries,
-                range_tombstones,
-                oldest_tombstone_ts: self.buffer_oldest_tombstone_ts,
-                wal_upto: 0,
-            }),
-            frozen,
-            version: self.versions.current(),
+            mem: Arc::new(mem),
+            versions: Arc::new(VersionSet::pinned(self.versions.current())),
+            counters: Arc::default(),
         }
     }
 
@@ -1344,8 +1172,7 @@ impl LsmTree {
             WalRecord::Delete { sort_key, ts } => {
                 self.clock.advance_to(ts);
                 let seq = self.next_seq();
-                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                self.mem.active.write().delete(sort_key, seq);
+                self.mem.active.write().delete(sort_key, seq, ts);
             }
             WalRecord::DeleteRange { start, end, ts } => {
                 if end <= start {
@@ -1353,8 +1180,7 @@ impl LsmTree {
                 }
                 self.clock.advance_to(ts);
                 let seq = self.next_seq();
-                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                self.mem.active.write().delete_range(start, end, seq);
+                self.mem.active.write().delete_range(start, end, seq, ts);
             }
             WalRecord::SecondaryDelete { d_lo, d_hi, ts } => {
                 self.clock.advance_to(ts);
@@ -1415,8 +1241,7 @@ impl LsmTree {
         let entry = Entry::point_tombstone(sort_key, seq);
         self.stats.record_ingest(entry.encoded_size() as u64);
         self.stats.point_deletes_issued += 1;
-        self.buffer_oldest_tombstone_ts.get_or_insert(now);
-        self.mem.active.write().delete(sort_key, seq);
+        self.mem.active.write().delete(sort_key, seq, now);
         self.maybe_flush()?;
         Ok(true)
     }
@@ -1435,8 +1260,7 @@ impl LsmTree {
         let entry = Entry::range_tombstone(start, end, seq);
         self.stats.record_ingest(entry.encoded_size() as u64);
         self.stats.range_deletes_issued += 1;
-        self.buffer_oldest_tombstone_ts.get_or_insert(now);
-        self.mem.active.write().delete_range(start, end, seq);
+        self.mem.active.write().delete_range(start, end, seq, now);
         self.maybe_flush()
     }
 
@@ -1558,8 +1382,7 @@ impl LsmTree {
                                     self.stats.record_ingest(entry.encoded_size() as u64);
                                     self.stats.point_deletes_issued += 1;
                                 }
-                                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                                active.delete(*sort_key, seq);
+                                active.delete(*sort_key, seq, ts);
                             }
                             BatchOp::SecondaryDelete { .. } => {
                                 // lint:allow(no-panic): the op split above routes these out
@@ -1795,8 +1618,8 @@ impl LsmTree {
         if active.is_empty() {
             return Ok(false);
         }
+        let oldest_tombstone_ts = active.oldest_tombstone_ts();
         let (entries, range_tombstones) = active.drain_sorted();
-        let oldest_tombstone_ts = self.buffer_oldest_tombstone_ts.take();
         *self.mem.frozen.write() = Some(Arc::new(FrozenBuffer {
             entries,
             range_tombstones,
@@ -3143,6 +2966,95 @@ mod tests {
         // files become reclaimable
         t.versions().collect_garbage(t.backend().as_ref());
         assert_eq!(t.versions().garbage_len(), 0);
+    }
+
+    #[test]
+    fn capture_with_occupied_frozen_slot_stays_frozen() {
+        // everything a captured reader returns, in one comparable value
+        type View = (
+            Vec<Option<Bytes>>,
+            Vec<(SortKey, Bytes)>,
+            Vec<(SortKey, Bytes)>,
+            Vec<Entry>,
+            Vec<Entry>,
+            Vec<Entry>,
+            Option<Timestamp>,
+        );
+        fn view(r: &TreeReader) -> View {
+            let gets = (0..300u64).chain([1000, 1001, 2000]).map(|k| r.get(k).unwrap()).collect();
+            let mut merge = r.entry_merge().unwrap();
+            let mut stream = Vec::new();
+            while let Some(e) = merge.next_merged().unwrap() {
+                stream.push(e);
+            }
+            (
+                gets,
+                r.range(0, 5000).unwrap(),
+                r.iter_range(0, 5000).unwrap().collect::<Result<Vec<_>>>().unwrap(),
+                r.secondary_range_scan(0, 5000).unwrap(),
+                stream,
+                r.all_range_tombstones(),
+                r.oldest_tombstone_ts(),
+            )
+        }
+
+        let mut cfg = LsmConfig::small_for_test();
+        cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
+        let mut t = tree(cfg);
+        for k in 0..200u64 {
+            t.put(k, k, value(k)).unwrap();
+        }
+        t.flush().unwrap();
+        t.maintain().unwrap();
+        // no worker: a full buffer freezes and stays frozen
+        t.set_maintenance_mode(MaintenanceMode::Background);
+        t.delete_range(10, 20).unwrap();
+        let first_tombstone_ts = t.clock().now();
+        t.delete(30).unwrap();
+        let mut k = 1000u64;
+        while !t.has_frozen() {
+            t.put(k, k, value(k)).unwrap();
+            k += 1;
+        }
+        // the active buffer shadows disk keys too
+        t.delete_range(40, 50).unwrap();
+        t.delete(60).unwrap();
+        t.put(70, 70, value(7070)).unwrap();
+        t.put(2000, 2000, value(2000)).unwrap();
+        assert!(t.has_frozen());
+
+        let snap = t.capture_snapshot();
+        let captured = view(&snap);
+        assert_eq!(captured.0[15], None);
+        assert_eq!(captured.0[30], None);
+        assert_eq!(captured.0[45], None);
+        assert_eq!(captured.0[60], None);
+        assert_eq!(captured.0[70], Some(value(7070)));
+        assert_eq!(captured.0[100], Some(value(100)));
+        assert_eq!(captured.5.len(), 2);
+        assert_eq!(captured.6, Some(first_tombstone_ts));
+
+        // purge the frozen buffer in place, then drain the pending flush
+        // the way the worker does and keep restructuring the tree
+        t.secondary_range_delete(100, 1500).unwrap();
+        while let Some(plan) = t.plan_job(true) {
+            let ctx = t.build_ctx();
+            let out = plan.execute(&ctx).unwrap();
+            t.apply_job(plan, out).unwrap();
+        }
+        assert!(!t.has_frozen());
+        for k in 0..100u64 {
+            t.delete(k).unwrap();
+        }
+        t.delete_range(0, 5000).unwrap();
+        t.put(5, 5, value(555)).unwrap();
+        t.flush().unwrap();
+        t.force_full_compaction().unwrap();
+        t.versions().collect_garbage(t.backend().as_ref());
+        assert_eq!(t.get(100).unwrap(), None);
+        assert_eq!(t.get(5).unwrap(), Some(value(555)));
+
+        assert!(view(&snap) == captured, "a captured reader must keep its capture-time view");
     }
 
     #[test]

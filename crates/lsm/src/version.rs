@@ -108,8 +108,15 @@ impl Default for VersionSet {
 impl VersionSet {
     /// Creates a version set holding an empty tree.
     pub fn new() -> Self {
+        Self::pinned(Arc::new(Version::empty()))
+    }
+
+    /// Creates a version set whose current version is `version`. Nothing
+    /// installs into a captured snapshot's set, so it pins that version for
+    /// as long as it lives.
+    pub fn pinned(version: Arc<Version>) -> Self {
         VersionSet {
-            current: RwLock::new(LockRank::VersionCurrent, Arc::new(Version::empty())),
+            current: RwLock::new(LockRank::VersionCurrent, version),
             garbage: Mutex::new(LockRank::VersionGarbage, Vec::new()),
             page_refs: Mutex::new(LockRank::PageRefs, HashMap::new()),
             installs: AtomicU64::new(0),

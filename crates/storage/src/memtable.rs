@@ -8,12 +8,13 @@
 //! separate list (they cover intervals, not single keys), mirroring the
 //! separate range-tombstone block of real engines.
 
+use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// The mutable, sorted in-memory buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MemTable {
     /// Point entries (puts and point tombstones), one per sort key — newer
     /// writes replace older buffered ones in place.
@@ -22,6 +23,9 @@ pub struct MemTable {
     range_tombstones: Vec<Entry>,
     /// Approximate buffered data size in bytes.
     size_bytes: usize,
+    /// Insertion time of the oldest buffered tombstone (point or range); a
+    /// purge never removes tombstones, so only a drain clears it.
+    oldest_tombstone_ts: Option<Timestamp>,
 }
 
 impl MemTable {
@@ -35,13 +39,16 @@ impl MemTable {
         self.insert_point(Entry::put(sort_key, delete_key, seqnum, value));
     }
 
-    /// Buffers a point tombstone for `sort_key`.
-    pub fn delete(&mut self, sort_key: SortKey, seqnum: SeqNum) {
+    /// Buffers a point tombstone for `sort_key`, issued at time `ts`.
+    pub fn delete(&mut self, sort_key: SortKey, seqnum: SeqNum, ts: Timestamp) {
+        self.oldest_tombstone_ts.get_or_insert(ts);
         self.insert_point(Entry::point_tombstone(sort_key, seqnum));
     }
 
-    /// Buffers a range tombstone covering sort keys `[start, end)`.
-    pub fn delete_range(&mut self, start: SortKey, end: SortKey, seqnum: SeqNum) {
+    /// Buffers a range tombstone covering sort keys `[start, end)`, issued
+    /// at time `ts`.
+    pub fn delete_range(&mut self, start: SortKey, end: SortKey, seqnum: SeqNum, ts: Timestamp) {
+        self.oldest_tombstone_ts.get_or_insert(ts);
         let t = Entry::range_tombstone(start, end, seqnum);
         self.size_bytes += t.encoded_size();
         self.range_tombstones.push(t);
@@ -95,6 +102,12 @@ impl MemTable {
         self.entries.is_empty() && self.range_tombstones.is_empty()
     }
 
+    /// Insertion time of the oldest buffered tombstone, for FADE's age
+    /// accounting of the file this buffer flushes into.
+    pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
+        self.oldest_tombstone_ts
+    }
+
     /// Number of buffered tombstones (point + range).
     pub fn tombstone_count(&self) -> usize {
         self.entries.values().filter(|e| e.is_tombstone()).count() + self.range_tombstones.len()
@@ -107,6 +120,7 @@ impl MemTable {
         let entries: Vec<Entry> = std::mem::take(&mut self.entries).into_values().collect();
         let rts = std::mem::take(&mut self.range_tombstones);
         self.size_bytes = 0;
+        self.oldest_tombstone_ts = None;
         (entries, rts)
     }
 
@@ -172,7 +186,7 @@ mod tests {
     fn delete_replaces_buffered_put_in_place() {
         let mut m = MemTable::new();
         m.put(7, 0, 1, Bytes::from_static(b"v"));
-        m.delete(7, 2);
+        m.delete(7, 2, 0);
         assert_eq!(m.len(), 1);
         let e = m.get(7).unwrap();
         assert!(e.is_point_tombstone());
@@ -183,7 +197,7 @@ mod tests {
     fn range_tombstone_shadows_older_puts_only() {
         let mut m = MemTable::new();
         m.put(5, 0, 1, Bytes::from_static(b"old"));
-        m.delete_range(0, 10, 2);
+        m.delete_range(0, 10, 2, 0);
         m.put(6, 0, 3, Bytes::from_static(b"new"));
         // key 5: covered by the newer range tombstone
         assert!(m.get(5).unwrap().is_tombstone());
@@ -213,7 +227,7 @@ mod tests {
         m.put(1, 10, 1, Bytes::from_static(b"a"));
         m.put(2, 50, 2, Bytes::from_static(b"b"));
         m.put(3, 90, 3, Bytes::from_static(b"c"));
-        m.delete(4, 4);
+        m.delete(4, 4, 0);
         let purged = m.purge_by_delete_key(40, 100);
         assert_eq!(purged, 2);
         assert!(m.get(1).is_some());
@@ -229,7 +243,7 @@ mod tests {
         let mut m = MemTable::new();
         m.put(3, 0, 1, Bytes::from_static(b"c"));
         m.put(1, 0, 2, Bytes::from_static(b"a"));
-        m.delete_range(10, 20, 3);
+        m.delete_range(10, 20, 3, 0);
         let (pts, rts) = m.drain_sorted();
         assert_eq!(pts.iter().map(|e| e.sort_key).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(rts.len(), 1);
