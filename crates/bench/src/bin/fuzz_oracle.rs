@@ -1,7 +1,8 @@
 //! Randomised oracle fuzzer: replays random operation sequences against a
-//! `BTreeMap` oracle on a tiered Lethe engine, and greedily shrinks any
-//! failing sequence to a minimal reproducer. This complements the proptest
-//! suite with an unbounded, long-running search that can be left running:
+//! `BTreeMap` oracle on a Lethe engine, under both leveling and tiering, and
+//! greedily shrinks any failing sequence to a minimal reproducer. This
+//! complements the proptest suite with a wider seeded search. Exits 1 on the
+//! first mismatch, so it can gate CI:
 //!
 //! ```text
 //! cargo run -p lethe-bench --release --bin fuzz_oracle
@@ -17,9 +18,9 @@ enum Op { Put(u64, u8), Del(u64), DelRange(u64, u64), SecDel(u64, u64), Flush }
 
 fn dk(k: u64, ks: u64) -> u64 { k.wrapping_mul(31) % ks }
 
-fn run(ops: &[Op], ks: u64, verbose: bool) -> Option<u64> {
+fn run(ops: &[Op], ks: u64, policy: MergePolicy, verbose: bool) -> Option<u64> {
     let mut cfg = LsmConfig::small_for_test();
-    cfg.merge_policy = MergePolicy::Tiering;
+    cfg.merge_policy = policy;
     cfg.pages_per_delete_tile = 1;
     cfg.max_pages_per_file = 8;
     cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
@@ -64,8 +65,11 @@ fn main() {
                 _ => Op::Flush,
             }
         }).collect();
-        if run(&ops, ks, false).is_some() {
-            println!("seed {seed} fails with {} ops; shrinking...", ops.len());
+        for policy in [MergePolicy::Leveling, MergePolicy::Tiering] {
+            if run(&ops, ks, policy, false).is_none() {
+                continue;
+            }
+            println!("seed {seed} fails under {policy:?} with {} ops; shrinking...", ops.len());
             // greedy shrink
             let mut cur = ops.clone();
             loop {
@@ -73,14 +77,14 @@ fn main() {
                 for i in 0..cur.len() {
                     let mut cand = cur.clone();
                     cand.remove(i);
-                    if run(&cand, ks, false).is_some() { cur = cand; improved = true; break; }
+                    if run(&cand, ks, policy, false).is_some() { cur = cand; improved = true; break; }
                 }
                 if !improved { break; }
             }
             println!("minimal ({} ops): {:?}", cur.len(), cur);
-            run(&cur, ks, true);
-            return;
+            run(&cur, ks, policy, true);
+            std::process::exit(1);
         }
     }
-    println!("no failure found in 2000 seeds");
+    println!("no failure found in 2000 seeds under leveling or tiering");
 }

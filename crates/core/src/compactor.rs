@@ -30,6 +30,13 @@
 //!   worker completes a job or a pass — the blocking half of write
 //!   backpressure.
 //!
+//! Every job — flush, compaction or whole-file drop — has one shape: pinned
+//! victim files (plus the pinned frozen buffer, for a flush) and a placement
+//! for the merged output. Apply refuses a plan gone stale while it executed:
+//! one whose tree had any version installed since planning, or whose flush
+//! buffer is no longer the one in the frozen slot. The refused output is
+//! released and the job counts as no progress.
+//!
 //! A job that fails (I/O error, injected crash) leaves the tree unchanged —
 //! [`lethe_lsm::LsmTree::apply_job`] installs nothing on error and the
 //! frozen buffer is only cleared by a successful flush — so the in-memory

@@ -763,4 +763,35 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn ttl_triggered_compactions_count_fade_expiry_picks() {
+        for policy in [MergePolicy::Leveling, MergePolicy::Tiering] {
+            let mut db = LetheBuilder::new()
+                .buffer(4, 4, 64)
+                .size_ratio(4)
+                .merge_policy(policy)
+                .delete_persistence_threshold_secs(10.0)
+                .build()
+                .unwrap();
+            for k in 0..400u64 {
+                db.put(k, k, format!("v{k}")).unwrap();
+            }
+            for k in (0..400u64).step_by(7) {
+                db.delete(k).unwrap();
+            }
+            db.persist().unwrap();
+            // 1 s is well short of D_th but past the first level's share of
+            // it, so this pass runs FADE's delete-driven compactions (and
+            // possibly saturation-driven ones they cause)
+            let before = db.stats();
+            db.clock().advance_secs(1.0);
+            db.maintain().unwrap();
+            let after = db.stats();
+            let compactions = after.compactions - before.compactions;
+            let ttl = after.ttl_triggered_compactions - before.ttl_triggered_compactions;
+            assert!(ttl >= 1, "{policy:?}: {compactions} compactions, none counted as TTL");
+            assert!(ttl <= compactions, "{policy:?}: {ttl} TTL > {compactions} compactions");
+        }
+    }
 }

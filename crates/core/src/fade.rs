@@ -236,10 +236,10 @@ impl CompactionPolicy for FadePolicy {
                     if file_ids.is_empty() {
                         None
                     } else {
-                        Some(CompactionTask::LeveledMulti { level, file_ids })
+                        Some(CompactionTask::LeveledMulti { level, file_ids, ttl_trigger: true })
                     }
                 }
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level, ttl_trigger: true }),
             };
         }
 
@@ -252,8 +252,14 @@ impl CompactionPolicy for FadePolicy {
             return match view.config.merge_policy {
                 MergePolicy::Leveling => self
                     .pick_saturated(view, level)
-                    .map(|file_id| CompactionTask::LeveledPartial { level, file_id }),
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                    .map(|file_id| CompactionTask::LeveledMulti {
+                        level,
+                        file_ids: vec![file_id],
+                        ttl_trigger: false,
+                    }),
+                MergePolicy::Tiering => {
+                    Some(CompactionTask::TieredLevel { level, ttl_trigger: false })
+                }
             };
         }
         None
@@ -356,7 +362,7 @@ mod tests {
         let view = make_view(&levels, &cfg, &hist, 2_000_000);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1] })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1], ttl_trigger: true })
         );
         assert_eq!(policy.ttl_compactions(), 1);
         assert_eq!(policy.saturation_compactions(), 0);
@@ -391,7 +397,7 @@ mod tests {
         // oldest tombstone first; the tombstone-free file is left alone
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2, 1] })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2, 1], ttl_trigger: true })
         );
     }
 
@@ -412,7 +418,7 @@ mod tests {
         view.capacities = vec![1, u64::MAX]; // force saturation of level 0
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_trigger: false })
         );
         assert_eq!(policy.saturation_compactions(), 1);
         assert_eq!(policy.name(), "fade/sd+dd");
@@ -421,7 +427,7 @@ mod tests {
         let mut policy = FadePolicy::with_selection(u64::MAX, SaturationSelection::SmallestOverlap);
         let mut view = make_view(&levels, &cfg, &hist, 10);
         view.capacities = vec![1, u64::MAX];
-        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledPartial { level: 0, .. })));
+        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledMulti { level: 0, ttl_trigger: false, .. })));
         assert_eq!(policy.name(), "fade/so+dd");
     }
 
@@ -435,7 +441,7 @@ mod tests {
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 4, 1, 0, &backend)]));
         let mut policy = FadePolicy::new(1_000);
         let view = make_view(&levels, &cfg, &hist, 5_000);
-        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0 }));
+        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0, ttl_trigger: true }));
     }
 
     #[test]

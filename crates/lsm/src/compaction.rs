@@ -19,8 +19,9 @@
 //! implements the same trait; the size-tiered and date-tiered strategies
 //! live in [`crate::strategy`].
 //!
-//! Policies only *choose* work. Executing a chosen job
-//! ([`crate::tree::JobPlan::execute`]) streams the input files through the
+//! Policies only *choose* work. The tree turns each task into one job shape,
+//! pinned victim files plus a placement for the output, and executing it
+//! ([`crate::tree::JobPlan::execute`]) streams the victims through the
 //! lazy cursors and heap merge of [`crate::cursor`], so even a policy that
 //! picks an arbitrarily large merge (e.g. a forced full-tree compaction)
 //! runs in memory bounded by output-file and delete-tile granularity, never
@@ -100,28 +101,26 @@ impl<'a> TreeView<'a> {
 /// A unit of compaction work chosen by a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactionTask {
-    /// Merge one file of `level` into `level + 1` (leveling, partial
-    /// compaction).
-    LeveledPartial {
-        /// Source level index.
-        level: usize,
-        /// Id of the file to move down.
-        file_id: u64,
-    },
-    /// Merge several files of `level` into `level + 1` in a single job
-    /// (FADE compacts every TTL-expired file of a level together, paper
-    /// Figure 4: "all files with expired TTL are compacted").
+    /// Merge files of `level` into `level + 1` in a single job (leveling):
+    /// one file for a saturation-driven partial compaction, or every
+    /// TTL-expired file of the level (FADE, paper Figure 4: "all files with
+    /// expired TTL are compacted").
     LeveledMulti {
         /// Source level index.
         level: usize,
         /// Ids of the files to move down together.
         file_ids: Vec<u64>,
+        /// The policy picked this job because a file TTL expired (FADE's
+        /// delete-driven trigger), not because the level is saturated.
+        ttl_trigger: bool,
     },
     /// Merge every run of `level` into a single run placed in `level + 1`
     /// (tiering).
     TieredLevel {
         /// Source level index.
         level: usize,
+        /// The policy picked this job because a file TTL expired.
+        ttl_trigger: bool,
     },
     /// Merge a *subset* of `level`'s runs — identified by the ids of every
     /// file they contain — into one run that **replaces them in place**. The
@@ -229,8 +228,14 @@ impl CompactionPolicy for SaturationPolicy {
             return match view.config.merge_policy {
                 MergePolicy::Leveling => self
                     .select_file(view, level)
-                    .map(|file_id| CompactionTask::LeveledPartial { level, file_id }),
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                    .map(|file_id| CompactionTask::LeveledMulti {
+                        level,
+                        file_ids: vec![file_id],
+                        ttl_trigger: false,
+                    }),
+                MergePolicy::Tiering => {
+                    Some(CompactionTask::TieredLevel { level, ttl_trigger: false })
+                }
             };
         }
         None
@@ -349,17 +354,17 @@ mod tests {
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_trigger: false })
         );
         // most-tombstones also picks file 2 (it holds the tombstones)
         let mut policy = SaturationPolicy::new(FileSelection::MostTombstones);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_trigger: false })
         );
         // oldest picks either (same creation time) — must return some task
         let mut policy = SaturationPolicy::new(FileSelection::Oldest);
-        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledPartial { level: 0, .. })));
+        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledMulti { level: 0, ttl_trigger: false, .. })));
     }
 
     #[test]
@@ -382,7 +387,7 @@ mod tests {
             tombstone_gc_gated: false,
         };
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
-        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0 }));
+        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0, ttl_trigger: false }));
     }
 
     #[test]

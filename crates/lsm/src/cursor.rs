@@ -23,8 +23,9 @@
 //! The consumers are `TreeReader::iter_range` (version-pinned streaming
 //! scans, which `range` collects) and `TreeReader::entry_merge` (the
 //! checkpoint stream) — one reader type serves live reads and captured
-//! snapshots alike — and `JobPlan::execute` (compactions and flushes merge
-//! with memory bounded by *output file granularity*, not total input size).
+//! snapshots alike — and `JobPlan::execute`, the one merge loop every flush
+//! and compaction runs (memory bounded by *output file granularity*, not
+//! total input size).
 
 use crate::sstable::SsTable;
 use lethe_storage::{Entry, Result, SeqNum, SortKey, StorageBackend};

@@ -22,8 +22,9 @@ pub struct TreeStats {
     pub compactions: u64,
     /// Number of full-tree compactions performed.
     pub full_tree_compactions: u64,
-    /// Compactions triggered by an expired file TTL (FADE's delete-driven
-    /// trigger); a subset of `compactions`.
+    /// Compactions the policy picked because a file TTL expired (FADE's
+    /// delete-driven trigger, flagged on the `CompactionTask`); a subset of
+    /// `compactions`.
     pub ttl_triggered_compactions: u64,
     /// Total entries fed into compactions (a proxy for merge work).
     pub entries_compacted: u64,

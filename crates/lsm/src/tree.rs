@@ -30,6 +30,15 @@
 //! files) runs against pinned immutable state and needs no lock at all. A
 //! background worker (see `lethe-core`) drives exactly this cycle; the
 //! inline `flush`/`maintain` paths drive the same cycle synchronously.
+//!
+//! Every flush, compaction and whole-file drop is one [`JobPlan`] shape:
+//! pinned *victims* (newest first) and a *placement* for the merged output
+//! (run 0 of a level, a new run at an index of a level, or none for a
+//! drop). The planners only choose those two; one `execute` merges the
+//! victims (behind the frozen buffer, for a flush), and one `apply_job`
+//! removes the victims, places the output and commits. Apply refuses a plan
+//! that any version install since planning, or a change of the frozen slot,
+//! has made stale.
 
 use crate::compaction::{CompactionPolicy, CompactionTask, TreeView};
 use crate::config::{LsmConfig, MergePolicy, SecondaryDeleteMode};
@@ -578,68 +587,54 @@ pub struct BuildCtx {
 /// write lock against a pinned version. Executing it performs the expensive
 /// I/O without any lock; applying it back under the write lock commits the
 /// result atomically (manifest edit + version install).
+///
+/// Every flush, compaction and whole-file drop has this one shape: pinned
+/// *victims* that the new version no longer holds, and a *placement* for
+/// the merged output. The planners differ only in how they choose the two.
 pub struct JobPlan {
     kind: JobKind,
+    /// The pinned frozen buffer (flushes only): the newest merge source,
+    /// and the slot [`LsmTree::apply_job`] clears. A pointer clone of the
+    /// frozen slot, so planning copies nothing; the entries are read in the
+    /// lock-free execute phase.
+    frozen: Option<Arc<FrozenBuffer>>,
+    /// The pinned input files, newest first: the merge's shadowing order.
+    victims: Vec<Arc<SsTable>>,
+    /// Where the output goes; `None` for a whole-file drop, which reads and
+    /// writes nothing.
+    placement: Option<Placement>,
     drop_tombstones: bool,
+    /// Also drop surviving puts whose delete key falls in this range (the
+    /// full-tree secondary-delete baseline).
+    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
+    /// [`VersionSet::installs`] at plan time: any install since makes the
+    /// plan stale.
+    installs: u64,
 }
 
+/// What a job is for. Decides only which counters the job bumps and
+/// whether the whole-file-drop kill points fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobKind {
-    /// Persist the frozen write buffer into the first disk level.
-    Flush {
-        /// The pinned immutable buffer (shared with the frozen slot, so the
-        /// plan phase is a pointer clone; the entry copy for the merge
-        /// happens in the lock-free execute phase).
-        buffer: Arc<FrozenBuffer>,
-        /// Level-0 tables sort-merged with the buffer (leveling only).
-        resident: Vec<Arc<SsTable>>,
-        tiering: bool,
-    },
-    /// Merge files of `level` into `dst_level` (leveling partial/multi
-    /// compaction; FADE's delete-driven trigger passes every TTL-expired
-    /// file of the level in one job).
-    Files {
-        level: usize,
-        dst_level: usize,
-        sources: Vec<Arc<SsTable>>,
-        overlapping: Vec<Arc<SsTable>>,
-        ttl_trigger: bool,
-    },
-    /// Merge every run of `level` into one run of `level + 1` (tiering).
-    Tier { level: usize, victims: Vec<Arc<SsTable>> },
-    /// Merge the `run_count` adjacent runs of `level` starting at run index
-    /// `start` (pinned as `victims`) into one run that replaces them in
-    /// place (the tiered strategies' subset merge).
-    MergeRuns { level: usize, victims: Vec<Arc<SsTable>>, start: usize, run_count: usize },
-    /// Retire `victims` from every level without reading them (a date-tiered
-    /// whole-window TTL expiry). Executes as a no-op — zero pages read or
-    /// written — and commits as one atomic version install.
-    Drop { victims: Vec<Arc<SsTable>> },
-    /// Read, merge and rewrite the entire tree into its last level.
-    Full {
-        victims: Vec<Arc<SsTable>>,
-        deepest: usize,
-        delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-    },
+    Flush,
+    /// `ttl_trigger`: the policy picked it for an expired TTL (FADE's
+    /// delete-driven trigger).
+    Compaction { ttl_trigger: bool },
+    FullTree,
+    Drop,
+}
+
+/// Where a job's output lands in the new version.
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// Added to run 0 of the level (leveling).
+    Run0 { level: usize },
+    /// Inserted as a new run at `index` of the level's run list (tiering).
+    /// Removing the victims first leaves the slot a merged segment held.
+    NewRun { level: usize, index: usize },
 }
 
 impl JobPlan {
-    /// Human-readable job kind (worker diagnostics).
-    pub fn describe(&self) -> &'static str {
-        match &self.kind {
-            JobKind::Flush { .. } => "flush",
-            JobKind::Files { .. } => "compact-files",
-            JobKind::Tier { .. } => "compact-tier",
-            JobKind::MergeRuns { .. } => "merge-runs",
-            JobKind::Drop { .. } => "drop-files",
-            JobKind::Full { .. } => "full-tree",
-        }
-    }
-
-    /// True if this plan persists the frozen write buffer.
-    pub fn is_flush(&self) -> bool {
-        matches!(self.kind, JobKind::Flush { .. })
-    }
-
     /// The execute phase: reads the input pages, merges, and builds the
     /// output files on the device. Requires **no** tree lock — all inputs
     /// are immutable (pinned `Arc<SsTable>`s and the pinned frozen buffer)
@@ -655,79 +650,60 @@ impl JobPlan {
     /// number of input entries, so arbitrarily large compactions run in
     /// bounded space.
     pub fn execute(&self, ctx: &BuildCtx) -> Result<JobOutput> {
-        match &self.kind {
-            JobKind::Flush { buffer, resident, tiering } => {
-                if *tiering {
-                    // the flushed buffer becomes a fresh run as-is (no
-                    // merge, no dedup — the buffer already holds one
-                    // version per key)
-                    let mut builder = TableStreamBuilder::new(
-                        ctx,
-                        buffer.range_tombstones.clone(),
-                        buffer.oldest_tombstone_ts,
-                    );
-                    for e in &buffer.entries {
-                        builder.push(e.clone())?;
-                    }
-                    return Ok(JobOutput { tables: builder.finish()?, input_entries: 0 });
-                }
-                // greedy sort-merge with the resident run of level 1; the
-                // pinned buffer streams without being copied
-                let mut cursors: Vec<Box<dyn EntryCursor>> =
-                    Vec::with_capacity(1 + resident.len());
-                cursors.push(Box::new(SharedSliceCursor::new(
-                    FrozenEntries(Arc::clone(buffer)),
-                    0,
-                    buffer.entries.len(),
-                )));
-                let mut all_rts = buffer.range_tombstones.clone();
-                let mut oldest = buffer.oldest_tombstone_ts;
-                for table in resident {
-                    cursors.push(Box::new(SsTableCursor::full(
-                        Arc::clone(table),
-                        Arc::clone(&ctx.backend),
-                        true,
-                    )));
-                    all_rts.extend(table.range_tombstones.iter().cloned());
-                    oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-                }
-                let tables = stream_merge_build(
-                    ctx,
-                    cursors,
-                    all_rts,
-                    oldest,
-                    self.drop_tombstones,
-                    None,
-                )?;
-                Ok(JobOutput { tables, input_entries: 0 })
-            }
-            JobKind::Files { sources, overlapping, .. } => {
-                let inputs: Vec<&Arc<SsTable>> =
-                    sources.iter().chain(overlapping.iter()).collect();
-                merge_and_build(ctx, &inputs, self.drop_tombstones, None)
-            }
-            JobKind::Tier { victims, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                None,
-            ),
-            JobKind::MergeRuns { victims, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                None,
-            ),
-            // a whole-file drop reads and writes nothing: the entire effect
-            // is the apply phase's version/manifest edit
-            JobKind::Drop { .. } => Ok(JobOutput { tables: Vec::new(), input_entries: 0 }),
-            JobKind::Full { victims, delete_key_filter, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                *delete_key_filter,
-            ),
+        // a whole-file drop reads and writes nothing: the entire effect is
+        // the apply phase's version/manifest edit
+        if self.placement.is_none() {
+            return Ok(JobOutput { tables: Vec::new() });
         }
+        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(1 + self.victims.len());
+        let mut rts = Vec::new();
+        let mut oldest = None;
+        if let Some(buffer) = &self.frozen {
+            if let Some(Placement::NewRun { .. }) = self.placement {
+                // a tiered flush appends the buffer as a fresh run as-is: it
+                // already holds one version per key, and a merge would drop
+                // puts shadowed by the buffer's own range tombstones
+                let mut builder = TableStreamBuilder::new(
+                    ctx,
+                    buffer.range_tombstones.clone(),
+                    buffer.oldest_tombstone_ts,
+                );
+                for e in &buffer.entries {
+                    builder.push(e.clone())?;
+                }
+                return Ok(JobOutput { tables: builder.finish()? });
+            }
+            // the pinned buffer streams without being copied
+            cursors.push(Box::new(SharedSliceCursor::new(
+                FrozenEntries(Arc::clone(buffer)),
+                0,
+                buffer.entries.len(),
+            )));
+            rts.extend(buffer.range_tombstones.iter().cloned());
+            oldest = buffer.oldest_tombstone_ts;
+        }
+        for table in &self.victims {
+            cursors.push(Box::new(SsTableCursor::full(
+                Arc::clone(table),
+                Arc::clone(&ctx.backend),
+                true,
+            )));
+            rts.extend(table.range_tombstones.iter().cloned());
+            oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
+        }
+        let (surviving_rts, oldest) =
+            if self.drop_tombstones { (Vec::new(), None) } else { (rts.clone(), oldest) };
+        let mut merge = MergeIterator::new(cursors, rts, self.drop_tombstones)?;
+        let mut builder = TableStreamBuilder::new(ctx, surviving_rts, oldest);
+        while let Some(e) = merge.next_merged()? {
+            if let Some((d_lo, d_hi)) = self.delete_key_filter {
+                if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
+                    continue;
+                }
+            }
+            builder.push(e)?;
+        }
+        Ok(JobOutput { tables: builder.finish()? })
     }
 }
 
@@ -735,7 +711,6 @@ impl JobPlan {
 /// [`LsmTree::apply_job`].
 pub struct JobOutput {
     tables: Vec<Arc<SsTable>>,
-    input_entries: u64,
 }
 
 /// Streams a merged, sorted entry sequence into successive output files
@@ -828,60 +803,6 @@ impl<'a> TableStreamBuilder<'a> {
         self.flush_file(true)?;
         Ok(self.tables)
     }
-}
-
-/// Drives `cursors` through a streaming heap merge into a
-/// [`TableStreamBuilder`]: the shared tail of every execute arm.
-/// `delete_key_filter` additionally drops surviving puts whose delete key
-/// falls in the range (the full-tree secondary-delete baseline).
-fn stream_merge_build(
-    ctx: &BuildCtx,
-    cursors: Vec<Box<dyn EntryCursor>>,
-    range_tombstones: Vec<Entry>,
-    oldest: Option<Timestamp>,
-    drop_tombstones: bool,
-    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-) -> Result<Vec<Arc<SsTable>>> {
-    let oldest = if drop_tombstones { None } else { oldest };
-    let surviving_rts = if drop_tombstones { Vec::new() } else { range_tombstones.clone() };
-    let mut merge = MergeIterator::new(cursors, range_tombstones, drop_tombstones)?;
-    let mut builder = TableStreamBuilder::new(ctx, surviving_rts, oldest);
-    while let Some(e) = merge.next_merged()? {
-        if let Some((d_lo, d_hi)) = delete_key_filter {
-            if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
-                continue;
-            }
-        }
-        builder.push(e)?;
-    }
-    builder.finish()
-}
-
-/// Merges and rebuilds a set of input files through lazy per-tile cursors —
-/// the shared body of the Files, Tier and Full execute arms.
-fn merge_and_build(
-    ctx: &BuildCtx,
-    tables: &[&Arc<SsTable>],
-    drop_tombstones: bool,
-    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-) -> Result<JobOutput> {
-    let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(tables.len());
-    let mut rts = Vec::new();
-    let mut oldest: Option<Timestamp> = None;
-    let mut input_entries = 0u64;
-    for table in tables {
-        cursors.push(Box::new(SsTableCursor::full(
-            Arc::clone(table),
-            Arc::clone(&ctx.backend),
-            true,
-        )));
-        rts.extend(table.range_tombstones.iter().cloned());
-        oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-        input_entries += table.meta.num_entries;
-    }
-    let tables =
-        stream_merge_build(ctx, cursors, rts, oldest, drop_tombstones, delete_key_filter)?;
-    Ok(JobOutput { tables, input_entries })
 }
 
 fn min_opt(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Timestamp> {
@@ -1467,7 +1388,7 @@ impl LsmTree {
             }
             level.prune_empty_runs();
         }
-        self.commit_version(levels, &replacements, retired)?;
+        self.commit_version(levels, &replacements, retired, false)?;
         Ok(total)
     }
 
@@ -1502,13 +1423,8 @@ impl LsmTree {
         &mut self,
         delete_key_range: Option<(DeleteKey, DeleteKey)>,
     ) -> Result<()> {
-        let plan = match self.plan_full(delete_key_range) {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let ctx = self.build_ctx();
-        let out = plan.execute(&ctx)?;
-        self.apply_job(plan, out)?;
+        let plan = self.plan_full(delete_key_range);
+        self.run_job(plan)?;
         Ok(())
     }
 
@@ -1657,24 +1573,12 @@ impl LsmTree {
     /// the WAL records it covers are discarded, so at no instant is an
     /// acknowledged write covered by neither log.
     pub fn flush(&mut self) -> Result<()> {
-        if self.has_frozen() {
-            self.flush_frozen()?;
-        }
+        let plan = self.plan_flush();
+        self.run_job(plan)?;
         if self.freeze()? {
-            self.flush_frozen()?;
+            let plan = self.plan_flush();
+            self.run_job(plan)?;
         }
-        Ok(())
-    }
-
-    /// Plans, executes and applies the flush of the frozen buffer inline.
-    fn flush_frozen(&mut self) -> Result<()> {
-        let plan = match self.plan_flush() {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let ctx = self.build_ctx();
-        let out = plan.execute(&ctx)?;
-        self.apply_job(plan, out)?;
         Ok(())
     }
 
@@ -1682,17 +1586,20 @@ impl LsmTree {
     /// until it reports none is needed.
     pub fn maintain(&mut self) -> Result<()> {
         for _ in 0..MAX_MAINTENANCE_ROUNDS {
-            let plan = match self.plan_compaction() {
-                Some(p) => p,
-                None => break,
-            };
-            let ctx = self.build_ctx();
-            let out = plan.execute(&ctx)?;
-            if !self.apply_job(plan, out)? {
+            let plan = self.plan_compaction();
+            if !self.run_job(plan)? {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// Plans, executes and applies one job inline: the synchronous form of
+    /// the background worker's cycle. Returns whether a job was applied.
+    fn run_job(&mut self, plan: Option<JobPlan>) -> Result<bool> {
+        let Some(plan) = plan else { return Ok(false) };
+        let out = plan.execute(&self.build_ctx())?;
+        self.apply_job(plan, out)
     }
 
     /// Captures the context the lock-free execute phase needs.
@@ -1738,23 +1645,42 @@ impl LsmTree {
         want_drop
     }
 
+    /// A plan of `kind` pinning `victims` at the current install
+    /// generation, its tombstone drop routed through the snapshot gate.
+    fn job(
+        &mut self,
+        kind: JobKind,
+        victims: Vec<Arc<SsTable>>,
+        placement: Option<Placement>,
+        want_drop: bool,
+    ) -> JobPlan {
+        JobPlan {
+            kind,
+            frozen: None,
+            victims,
+            placement,
+            drop_tombstones: self.gate_tombstone_drop(want_drop),
+            delete_key_filter: None,
+            installs: self.versions.installs(),
+        }
+    }
+
+    /// Plans the flush of the frozen buffer into the first disk level: as a
+    /// new newest run under tiering, otherwise sort-merged with the level's
+    /// resident run.
     fn plan_flush(&mut self) -> Option<JobPlan> {
         let buffer = Arc::clone(self.mem.frozen.read().as_ref()?);
-        let tiering = self.config.merge_policy == MergePolicy::Tiering;
-        let version = self.versions.current();
-        let (resident, drop_tombstones) = if tiering {
-            (Vec::new(), false)
+        let mut plan = if self.config.merge_policy == MergePolicy::Tiering {
+            self.job(JobKind::Flush, Vec::new(), Some(Placement::NewRun { level: 0, index: 0 }), false)
         } else {
-            let resident: Vec<Arc<SsTable>> = version
-                .levels
-                .first()
-                .map(|l| l.all_tables().cloned().collect())
-                .unwrap_or_default();
+            let version = self.versions.current();
+            let resident: Vec<Arc<SsTable>> =
+                version.levels.first().map(|l| l.all_tables().cloned().collect()).unwrap_or_default();
             let drop = version.deepest_nonempty_level().is_none_or(|d| d == 0);
-            (resident, drop)
+            self.job(JobKind::Flush, resident, Some(Placement::Run0 { level: 0 }), drop)
         };
-        let drop_tombstones = self.gate_tombstone_drop(drop_tombstones);
-        Some(JobPlan { kind: JobKind::Flush { buffer, resident, tiering }, drop_tombstones })
+        plan.frozen = Some(buffer);
+        Some(plan)
     }
 
     fn plan_compaction(&mut self) -> Option<JobPlan> {
@@ -1774,13 +1700,10 @@ impl LsmTree {
             self.policy.pick(&view)?
         };
         match task {
-            CompactionTask::LeveledPartial { level, file_id } => {
-                self.plan_files(&version, level, &[file_id])
+            CompactionTask::LeveledMulti { level, file_ids, ttl_trigger } => {
+                self.plan_files(&version, level, &file_ids, ttl_trigger)
             }
-            CompactionTask::LeveledMulti { level, file_ids } => {
-                self.plan_files(&version, level, &file_ids)
-            }
-            CompactionTask::TieredLevel { level } => {
+            CompactionTask::TieredLevel { level, ttl_trigger } => {
                 let victims: Vec<Arc<SsTable>> =
                     version.levels.get(level)?.all_tables().cloned().collect();
                 if victims.is_empty() {
@@ -1794,9 +1717,12 @@ impl LsmTree {
                 let deepest_other = (0..version.levels.len())
                     .rev()
                     .find(|&i| i != level && !version.levels[i].is_empty());
-                let drop_tombstones =
-                    self.gate_tombstone_drop(deepest_other.is_none_or(|d| d < level + 1));
-                Some(JobPlan { kind: JobKind::Tier { level, victims }, drop_tombstones })
+                Some(self.job(
+                    JobKind::Compaction { ttl_trigger },
+                    victims,
+                    Some(Placement::NewRun { level: level + 1, index: 0 }),
+                    deepest_other.is_none_or(|d| d < level + 1),
+                ))
             }
             CompactionTask::MergeRuns { level, file_ids } => {
                 self.plan_merge_runs(&version, level, &file_ids)
@@ -1841,7 +1767,6 @@ impl LsmTree {
         if covered != want.len() {
             return None; // some wanted id is not in this level
         }
-        let run_count = end - start;
         let victims: Vec<Arc<SsTable>> =
             l.runs[start..end].iter().flat_map(|r| r.tables().iter().cloned()).collect();
         // The merge may persist tombstones only when it covers the oldest
@@ -1849,11 +1774,14 @@ impl LsmTree {
         // every deeper level is empty.
         let oldest = end == l.runs.len()
             && version.levels.iter().skip(level + 1).all(|deeper| deeper.is_empty());
-        let drop_tombstones = self.gate_tombstone_drop(oldest);
-        Some(JobPlan {
-            kind: JobKind::MergeRuns { level, victims, start, run_count },
-            drop_tombstones,
-        })
+        // the merged run takes the segment's position, preserving the
+        // level's recency order around it
+        Some(self.job(
+            JobKind::Compaction { ttl_trigger: false },
+            victims,
+            Some(Placement::NewRun { level, index: start }),
+            oldest,
+        ))
     }
 
     /// Plans a whole-file drop of `file_ids`, resolved across all levels.
@@ -1883,13 +1811,19 @@ impl LsmTree {
         if !self.gate_tombstone_drop(true) {
             return None;
         }
-        Some(JobPlan { kind: JobKind::Drop { victims }, drop_tombstones: false })
+        Some(self.job(JobKind::Drop, victims, None, false))
     }
 
     /// Plans a leveling compaction of `file_ids` out of `level`, mirroring
     /// FADE's placement rules: TTL-driven jobs on an unsaturated deepest
     /// level rewrite in place, everything else spills to `level + 1`.
-    fn plan_files(&mut self, version: &Version, level: usize, file_ids: &[u64]) -> Option<JobPlan> {
+    fn plan_files(
+        &mut self,
+        version: &Version,
+        level: usize,
+        file_ids: &[u64],
+        ttl_trigger: bool,
+    ) -> Option<JobPlan> {
         let sources: Vec<Arc<SsTable>> = {
             let run = version.levels.get(level)?.runs.first()?;
             file_ids.iter().filter_map(|id| run.find_by_id(*id).map(Arc::clone)).collect()
@@ -1897,15 +1831,6 @@ impl LsmTree {
         if sources.is_empty() {
             return None;
         }
-        let now = self.clock.now();
-        let ttl_trigger = self
-            .config
-            .delete_persistence_threshold
-            .map(|dth| {
-                sources.iter().any(|s| s.has_tombstones() && s.tombstone_age(now) >= dth / 2)
-            })
-            .unwrap_or(false);
-
         let deepest = version.deepest_nonempty_level().unwrap_or(level);
         // Files picked from the deepest level while that level still has
         // headroom are being compacted only to persist their tombstones (a
@@ -1931,12 +1856,14 @@ impl LsmTree {
                 })
                 .unwrap_or_default()
         };
-
-        let drop_tombstones = self.gate_tombstone_drop(dst_level >= deepest);
-        Some(JobPlan {
-            kind: JobKind::Files { level, dst_level, sources, overlapping, ttl_trigger },
-            drop_tombstones,
-        })
+        // sources first: they are newer than the level below
+        let victims = sources.into_iter().chain(overlapping).collect();
+        Some(self.job(
+            JobKind::Compaction { ttl_trigger },
+            victims,
+            Some(Placement::Run0 { level: dst_level }),
+            dst_level >= deepest,
+        ))
     }
 
     fn plan_full(&mut self, delete_key_filter: Option<(DeleteKey, DeleteKey)>) -> Option<JobPlan> {
@@ -1944,229 +1871,97 @@ impl LsmTree {
         let deepest = version.deepest_nonempty_level()?;
         let victims: Vec<Arc<SsTable>> =
             version.levels.iter().flat_map(|l| l.all_tables().cloned()).collect();
-        let drop_tombstones = self.gate_tombstone_drop(true);
-        Some(JobPlan {
-            kind: JobKind::Full { victims, deepest, delete_key_filter },
-            drop_tombstones,
-        })
+        let mut plan =
+            self.job(JobKind::FullTree, victims, Some(Placement::Run0 { level: deepest }), true);
+        plan.delete_key_filter = delete_key_filter;
+        Some(plan)
     }
 
-    /// Commits an executed job: splices the output into a copy of the
-    /// current levels, commits the manifest edit, installs the new version
-    /// (one atomic pointer swap — readers see the old or the new tree, never
-    /// a mixture), retires the replaced files for deferred page reclamation,
-    /// and — for flushes — clears the frozen buffer and discards the covered
-    /// WAL prefix.
+    /// Commits an executed job: removes the victims from a copy of the
+    /// current levels, places the output, commits the manifest edit,
+    /// installs the new version (one atomic pointer swap — readers see the
+    /// old or the new tree, never a mixture), retires the victims for
+    /// deferred page reclamation, and — for flushes — clears the frozen
+    /// buffer and discards the covered WAL prefix.
     ///
-    /// Returns `false` (and releases the output's pages) if the tree changed
-    /// structurally since the plan was taken and the job no longer applies —
-    /// this cannot happen under the serialisation discipline (one worker per
-    /// tree; foreground structural operations pause the worker) but is
-    /// checked anyway so a discipline bug degrades to wasted work, never to
-    /// resurrected data.
+    /// Returns `false` (and releases the output's pages) if the plan is
+    /// stale: a version was installed since it was planned, or the frozen
+    /// slot no longer holds the buffer a flush pinned (a secondary delete
+    /// purges the frozen buffer by copy-on-write). This cannot happen under
+    /// the serialisation discipline (one worker per tree; foreground
+    /// structural operations pause the worker) but is checked anyway so a
+    /// discipline bug degrades to wasted work, never to resurrected data.
     pub fn apply_job(&mut self, plan: JobPlan, out: JobOutput) -> Result<bool> {
-        let current = self.versions.current();
-        let mut levels = current.levels.clone();
-        let JobPlan { kind, .. } = plan;
-        match kind {
-            JobKind::Flush { buffer, resident, tiering } => {
-                let wal_upto = buffer.wal_upto;
-                if self.mem.frozen.read().is_none() {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                if levels.is_empty() {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if tiering {
-                    // the flushed buffer becomes a fresh run (newest first)
-                    if !out.tables.is_empty() {
-                        levels[0].runs.insert(0, Run::new(out.tables));
-                    }
-                } else {
-                    // the merge consumed the resident run: verify it is
-                    // still exactly what the plan pinned
-                    let have: Vec<u64> = levels[0].all_tables().map(|t| t.meta.id).collect();
-                    let planned: Vec<u64> = resident.iter().map(|t| t.meta.id).collect();
-                    if have != planned {
-                        self.abort_output(out);
-                        return Ok(false);
-                    }
-                    levels[0] = Level::new();
-                    if !out.tables.is_empty() {
-                        levels[0].runs.push(Run::new(out.tables));
-                    }
-                }
-                let flushed_bytes: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, resident)?;
-                *self.mem.frozen.write() = None;
-                self.stats.flushes += 1;
-                self.stats.bytes_flushed += flushed_bytes;
-                if let Some(wal) = &self.wal {
-                    wal.truncate_prefix(wal_upto)?;
-                }
-                Ok(true)
+        let frozen_unchanged = match &plan.frozen {
+            Some(buffer) => {
+                self.mem.frozen.read().as_ref().is_some_and(|f| Arc::ptr_eq(f, buffer))
             }
-            JobKind::Files { level, dst_level, sources, overlapping, ttl_trigger } => {
-                let source_ids: Vec<u64> = sources.iter().map(|t| t.meta.id).collect();
-                let overlap_ids: Vec<u64> = overlapping.iter().map(|t| t.meta.id).collect();
-                let ids_present = |run: Option<&Run>, ids: &[u64]| {
-                    ids.iter().all(|id| run.is_some_and(|r| r.find_by_id(*id).is_some()))
-                };
-                if !ids_present(levels.get(level).and_then(|l| l.runs.first()), &source_ids)
-                    || !ids_present(levels.get(dst_level).and_then(|l| l.runs.first()), &overlap_ids)
-                {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                while levels.len() <= dst_level {
-                    levels.push(Level::new());
-                }
-                if let Some(run) = levels[level].runs.first_mut() {
-                    run.remove_ids(&source_ids);
-                }
-                levels[level].prune_empty_runs();
-                if dst_level != level {
-                    if let Some(run) = levels[dst_level].runs.first_mut() {
-                        run.remove_ids(&overlap_ids);
+            None => true,
+        };
+        if self.versions.installs() != plan.installs || !frozen_unchanged {
+            self.abort_output(out);
+            return Ok(false);
+        }
+        let JobPlan { kind, frozen, victims, placement, .. } = plan;
+        let mut levels = self.versions.current().levels.clone();
+        let victim_ids: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
+        for level in &mut levels {
+            for run in &mut level.runs {
+                run.remove_ids(&victim_ids);
+            }
+            level.prune_empty_runs();
+        }
+        if let Some(placement) = placement {
+            let (Placement::Run0 { level } | Placement::NewRun { level, .. }) = placement;
+            while levels.len() <= level {
+                levels.push(Level::new());
+            }
+            if !out.tables.is_empty() {
+                let runs = &mut levels[level].runs;
+                match placement {
+                    Placement::Run0 { .. } => {
+                        if runs.is_empty() {
+                            runs.push(Run::default());
+                        }
+                        runs[0].add_tables(out.tables.clone());
                     }
-                    levels[dst_level].prune_empty_runs();
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    if levels[dst_level].runs.is_empty() {
-                        levels[dst_level].runs.push(Run::default());
+                    Placement::NewRun { index, .. } => {
+                        runs.insert(index, Run::new(out.tables.clone()));
                     }
-                    levels[dst_level].runs[0].add_tables(out.tables);
                 }
-                let retired: Vec<Arc<SsTable>> =
-                    sources.into_iter().chain(overlapping).collect();
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, retired)?;
-                self.stats.compactions += 1;
-                if ttl_trigger {
-                    self.stats.ttl_triggered_compactions += 1;
-                }
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::Tier { level, victims } => {
-                let have: Vec<u64> =
-                    levels.get(level).map(|l| l.all_tables().map(|t| t.meta.id).collect()).unwrap_or_default();
-                let planned: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                if have != planned {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                levels[level].runs.clear();
-                while levels.len() <= level + 1 {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    levels[level + 1].runs.insert(0, Run::new(out.tables));
-                }
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::MergeRuns { level, victims, start, run_count } => {
-                // runs `start..start + run_count` of `level` must still be
-                // exactly the runs the plan pinned
-                let planned: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                let have: Vec<u64> = levels
-                    .get(level)
-                    .filter(|l| l.runs.len() >= start + run_count)
-                    .map(|l| {
-                        l.runs[start..start + run_count]
-                            .iter()
-                            .flat_map(|r| r.tables().iter().map(|t| t.meta.id))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if have != planned {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                let new_tables = out.tables.clone();
-                // the merged run takes the segment's position, preserving
-                // the level's recency order around it
-                let replacement =
-                    if out.tables.is_empty() { None } else { Some(Run::new(out.tables)) };
-                levels[level].runs.splice(start..start + run_count, replacement);
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::Drop { victims } => {
-                let ids: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                let all_present = ids.iter().all(|id| {
-                    levels.iter().any(|l| l.runs.iter().any(|r| r.find_by_id(*id).is_some()))
-                });
-                if !all_present {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                for l in &mut levels {
-                    for run in &mut l.runs {
-                        run.remove_ids(&ids);
-                    }
-                    l.prune_empty_runs();
-                }
-                // Inlined commit tail (instead of `commit_version`) so crash
-                // injection can land between the two durability steps of a
-                // drop: the manifest edit that forgets the files must be
-                // committed *before* their pages are retired — the reverse
-                // order could reclaim pages a recovered manifest still
-                // references.
-                if let Some(fp) = &self.failpoint {
-                    fp.check("drop.commit")?;
-                }
-                self.commit_or_release(&levels, &[])?;
-                if let Some(fp) = &self.failpoint {
-                    fp.check("drop.retire")?;
-                }
-                self.versions.install(levels);
-                for t in &victims {
-                    self.versions.retire_table(Arc::clone(t));
-                }
-                self.versions.collect_garbage(self.backend.as_ref());
-                self.stats.whole_file_drops += victims.len() as u64;
-                Ok(true)
-            }
-            JobKind::Full { victims, deepest, .. } => {
-                let have: usize = levels.iter().map(|l| l.file_count()).sum();
-                if have != victims.len() {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                for level in &mut levels {
-                    *level = Level::new();
-                }
-                while levels.len() <= deepest {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    levels[deepest].runs.push(Run::new(out.tables));
-                }
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.full_tree_compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
             }
         }
+        let written: u64 = out.tables.iter().map(|t| t.meta.data_bytes).sum();
+        let input_entries: u64 = victims.iter().map(|t| t.meta.num_entries).sum();
+        let victim_count = victims.len() as u64;
+        self.commit_version(levels, &out.tables, victims, kind == JobKind::Drop)?;
+        match kind {
+            JobKind::Flush => {
+                self.stats.flushes += 1;
+                self.stats.bytes_flushed += written;
+            }
+            JobKind::Drop => self.stats.whole_file_drops += victim_count,
+            JobKind::Compaction { .. } | JobKind::FullTree => {
+                self.stats.compactions += 1;
+                self.stats.entries_compacted += input_entries;
+                self.stats.bytes_compacted += written;
+                if kind == JobKind::FullTree {
+                    self.stats.full_tree_compactions += 1;
+                }
+                if matches!(kind, JobKind::Compaction { ttl_trigger: true }) {
+                    self.stats.ttl_triggered_compactions += 1;
+                }
+            }
+        }
+        // the slot is cleared only after the install, so a reader that
+        // misses the buffer finds its entries on disk
+        if let Some(buffer) = frozen {
+            *self.mem.frozen.write() = None;
+            if let Some(wal) = &self.wal {
+                wal.truncate_prefix(buffer.wal_upto)?;
+            }
+        }
+        Ok(true)
     }
 
     /// Releases the pages of a job output that will never be installed
@@ -2199,16 +1994,29 @@ impl LsmTree {
     /// The shared commit tail of every structural change: manifest edit
     /// (releasing `new_tables` if it fails), page-reference registration,
     /// atomic version install, retirement of the replaced file objects, and
-    /// a garbage-collection pass. Used by every [`LsmTree::apply_job`]
-    /// branch and by the secondary-delete page-drop path, so the commit
-    /// ordering lives in exactly one place.
+    /// a garbage-collection pass. Used by [`LsmTree::apply_job`] and by the
+    /// secondary-delete page-drop path, so the commit ordering lives in
+    /// exactly one place.
+    ///
+    /// `drop_job` arms the whole-file-drop kill points, so crash injection
+    /// can land between the two durability steps of a drop: the manifest
+    /// edit that forgets the files must be committed *before* their pages
+    /// are retired — the reverse order could reclaim pages a recovered
+    /// manifest still references.
     fn commit_version(
         &mut self,
         levels: Vec<Level>,
         new_tables: &[Arc<SsTable>],
         retired: Vec<Arc<SsTable>>,
+        drop_job: bool,
     ) -> Result<()> {
+        if let Some(fp) = self.failpoint.as_ref().filter(|_| drop_job) {
+            fp.check("drop.commit")?;
+        }
         self.commit_or_release(&levels, new_tables)?;
+        if let Some(fp) = self.failpoint.as_ref().filter(|_| drop_job) {
+            fp.check("drop.retire")?;
+        }
         for t in new_tables {
             self.versions.register_table(t);
         }
@@ -3074,5 +2882,78 @@ mod tests {
         t.flush().unwrap();
         assert!(!t.write_stalled());
         assert_eq!(t.range(0, 400).unwrap().len(), 400);
+    }
+
+    /// A background-mode tree with KiWi page drops and delete key = sort
+    /// key, so `secondary_range_delete(lo, hi)` deletes keys `lo..hi`.
+    fn kiwi_background_tree() -> LsmTree {
+        let mut cfg = LsmConfig::small_for_test();
+        cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
+        let mut t = tree(cfg);
+        t.set_maintenance_mode(MaintenanceMode::Background);
+        t
+    }
+
+    /// Runs plan → execute → apply until no work is left, as the worker
+    /// does, requiring every fresh plan to apply.
+    fn drain_jobs(t: &mut LsmTree) {
+        while let Some(plan) = t.plan_job(true) {
+            let out = plan.execute(&t.build_ctx()).unwrap();
+            assert!(t.apply_job(plan, out).unwrap(), "a fresh plan must apply");
+        }
+    }
+
+    #[test]
+    fn flush_plan_made_stale_by_a_frozen_buffer_purge_is_refused() {
+        let mut t = kiwi_background_tree();
+        let mut n = 0u64;
+        while !t.has_frozen() {
+            t.put(n, n, value(n)).unwrap();
+            n += 1;
+        }
+        assert!(n <= 100, "the frozen buffer must lie inside the deleted range");
+        let plan = t.plan_job(true).expect("a frozen buffer is waiting");
+        let pages_before = t.backend().live_pages();
+        let out = plan.execute(&t.build_ctx()).unwrap();
+        // the purge rewrites the frozen slot by copy-on-write: the plan still
+        // holds the pre-delete buffer, whose flush would resurrect the keys
+        t.secondary_range_delete(0, 100).unwrap();
+        assert!(!t.apply_job(plan, out).unwrap(), "a stale flush plan must be refused");
+        assert_eq!(t.backend().live_pages(), pages_before, "the refused output leaked pages");
+        drain_jobs(&mut t);
+        for k in 0..n {
+            assert_eq!(t.get(k).unwrap(), None, "key {k} resurrected");
+        }
+    }
+
+    #[test]
+    fn compaction_plan_made_stale_by_an_install_is_refused() {
+        let mut t = kiwi_background_tree();
+        let mut n = 0u64;
+        let plan = loop {
+            t.put(n, n, value(n)).unwrap();
+            n += 1;
+            if t.has_frozen() {
+                t.flush().unwrap();
+                if let Some(plan) = t.plan_job(false) {
+                    break plan;
+                }
+            }
+        };
+        let pages_before = t.backend().live_pages();
+        let out = plan.execute(&t.build_ctx()).unwrap();
+        let written = t.backend().live_pages() - pages_before;
+        // a partial KiWi delete replaces the touched file under its old id,
+        // so only the install generation shows that the plan's victim is
+        // out of date; merging the pre-delete pages would resurrect keys
+        t.secondary_range_delete(5, 15).unwrap();
+        let after_delete = t.backend().live_pages();
+        assert!(!t.apply_job(plan, out).unwrap(), "a stale compaction plan must be refused");
+        assert_eq!(t.backend().live_pages(), after_delete - written, "the refused output leaked pages");
+        drain_jobs(&mut t);
+        for k in 0..n {
+            let expected = if (5..15).contains(&k) { None } else { Some(value(k)) };
+            assert_eq!(t.get(k).unwrap(), expected, "key {k}");
+        }
     }
 }
